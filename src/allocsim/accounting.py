@@ -22,7 +22,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-ACTION_KINDS = ("goto", "get", "put", "activate", "noop")
+from .kitchen import ACTION_KINDS
 
 _MTOK = 1_000_000
 
@@ -214,13 +214,6 @@ class CapabilityProfile:
 
     def cell(self, agent: str, model_id: str) -> CapabilityCell:
         return self.cells.get((agent, model_id), CapabilityCell())
-
-    def rate_for_agent(self, agent: str) -> float | None:
-        attempted = sum(c.attempted for (a, _), c in self.cells.items() if a == agent)
-        succeeded = sum(c.succeeded for (a, _), c in self.cells.items() if a == agent)
-        if attempted == 0:
-            return None
-        return succeeded / attempted
 
     def to_json_dict(self) -> dict[str, Any]:
         return {

@@ -64,15 +64,10 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """A task decomposed into subtasks, with workload and optional reward.
-
-    ``difficulty`` is descriptive only; nothing in the objective consumes
-    it.
-    """
+    """A task decomposed into subtasks, with workload and optional reward."""
 
     id: str
     subtask_count: int = 1
-    difficulty: float = 0.0
     workload: float = 0.0
     reward: float | None = None
 
@@ -171,9 +166,6 @@ class SlotConflict:
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     violations: tuple[TimeBudgetExceeded | SlotConflict, ...]
-    # assignments are stored as a set of triples, so non-binary values
-    # cannot be represented at all; recorded here for completeness
-    binary_domain_ok: bool = True
 
     @property
     def feasible(self) -> bool:
@@ -338,7 +330,6 @@ def utility_table_from_json(text: str) -> tuple[list[AgentSpec], list[TaskSpec],
         TaskSpec(
             id=t["id"],
             subtask_count=t.get("subtask_count", 1),
-            difficulty=t.get("difficulty", 0.0),
             workload=t.get("workload", 0.0),
             reward=t.get("reward"),
         )

@@ -4,8 +4,9 @@ Subcommands:
 
 * ``assign-eval`` -- generate assignment instances, run an allocator over
   them, and score validity/accuracy against the optimal solver;
-* ``kitchen-run`` -- run kitchen episodes under one or all coordination
-  modes and emit traces and reports;
+* ``kitchen-run`` -- run kitchen episodes under one coordination mode, or
+  under all three one after another (``--mode all``), and emit traces and
+  reports;
 * ``capability-sweep`` -- paired on-the-fly vs informed planner runs over
   a worker roster, sharing seeds;
 * ``replay`` -- re-execute a trace file and verify it hashes identically.
@@ -13,6 +14,10 @@ Subcommands:
 Runs are configured by a JSON file (``--config``) with per-flag keys;
 explicit flags win over the file. All randomness derives from the single
 ``--seed`` via labelled paths, so any sub-run is reproducible on its own.
+
+Exit codes: 0 on success, 1 when ``replay`` finds a mismatch, 2 on a
+configuration error (bad flag value, config file, binding spec or mock
+script), reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -28,13 +32,14 @@ import numpy as np
 
 from . import assignment as asg
 from .accounting import capability_hint
-from .coordination import ControllerMode, EpisodeReport, run_episode
+from .coordination import ControllerMode, EpisodeReport, parse_action, run_episode
 from .gateway import ModelBinding, install_mock
 from .kitchen import (
+    MAX_AGENTS,
+    MIN_AGENTS,
     EpisodeOver,
-    KitchenState,
     LevelConfig,
-    action_from_json_dict,
+    Noop,
     load_level,
     observation_hash,
     step as kitchen_step,
@@ -64,18 +69,23 @@ def _jsonl_line(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _read_json(path: Path, what: str) -> Any:
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}")
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
+
+
 def _merge_config(args: argparse.Namespace, keys: Sequence[str]) -> dict[str, Any]:
     """File values fill in whatever the command line left unset."""
     merged: dict[str, Any] = {}
     file_conf: dict[str, Any] = {}
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            file_conf = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+        file_conf = _read_json(Path(args.config), "config file")
+        if not isinstance(file_conf, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
     for key in keys:
         flag_value = getattr(args, key, None)
         merged[key] = flag_value if flag_value is not None else file_conf.get(key)
@@ -93,9 +103,8 @@ def _require(conf: Mapping[str, Any], key: str, kind: type, where: str) -> Any:
         raise ConfigError(f"{where}: setting {key!r} must be {kind.__name__}, got {value!r}")
 
 
-def _int_or(conf: Mapping[str, Any], key: str, default: int) -> int:
-    value = conf.get(key)
-    return default if value is None else int(value)
+def _int_or(conf: Mapping[str, Any], key: str, default: int | None, where: str) -> int | None:
+    return default if conf.get(key) is None else _require(conf, key, int, where)
 
 
 def _load_level_config(spec: str) -> LevelConfig:
@@ -106,76 +115,69 @@ def _load_level_config(spec: str) -> LevelConfig:
         raise ConfigError(
             f"level {spec!r} is neither a built-in ({sorted(BUILTIN_LEVELS)}) nor a file"
         )
-    return LevelConfig.from_json(path.read_text(encoding="utf-8"))
+    return LevelConfig.from_json_dict(_read_json(path, "level file"))
 
 
 # --- binding construction ----------------------------------------------------
 
+_SCRIPTED = {"worker": ScriptedWorker, "orchestrator": ScriptedOrchestrator, "planner": ScriptedPlanner}
+_GATEWAY = {"worker": GatewayWorker, "orchestrator": GatewayOrchestrator, "planner": GatewayPlanner}
 
-def _worker_from_spec(spec: Any, seed: int, label: str):
+
+def _flaky_worker(rate: Any, seed: int, label: str) -> FlakyWorker:
+    try:
+        return FlakyWorker(ScriptedWorker(), float(rate), derive_seed(seed, "flaky", label))
+    except (TypeError, ValueError):
+        raise ConfigError(f"worker failure rate must be a number in [0, 1], got {rate!r}")
+
+
+def _policy_from_spec(role: str, spec: Any, seed: int = 0, label: str = "") -> Any:
+    """The policy for one role ("worker", "orchestrator" or "planner") from its spec.
+
+    A spec is ``None`` or ``"scripted"``, or a mapping whose ``kind`` is
+    ``scripted``, ``model`` or ``mock``. Workers also take ``"scripted:<rate>"``
+    and ``kind: flaky``, whose failures are seeded from ``seed`` and ``label``.
+    """
+    where = f"{role} binding"
     if spec is None or spec == "scripted":
-        return ScriptedWorker()
-    if isinstance(spec, str):
-        if spec.startswith("scripted:"):
-            rate = float(spec.split(":", 1)[1])
-            return FlakyWorker(ScriptedWorker(), rate, derive_seed(seed, "flaky", label))
-        raise ConfigError(f"unknown worker spec {spec!r}")
-    if isinstance(spec, Mapping):
-        kind = spec.get("kind", "scripted")
-        if kind == "scripted":
-            return ScriptedWorker()
-        if kind == "flaky":
-            rate = float(spec.get("failure_rate", 0.0))
-            return FlakyWorker(ScriptedWorker(), rate, derive_seed(seed, "flaky", label))
-        if kind in ("model", "mock"):
-            binding = ModelBinding(
-                model_id=spec["model_id"],
-                endpoint_url=spec.get("endpoint_url", ""),
-                auth_env_var=spec.get("auth_env_var", ""),
-                max_retries=int(spec.get("max_retries", 2)),
-            )
-            transport = None
-            if kind == "mock":
-                script = json.loads(Path(spec["script"]).read_text(encoding="utf-8"))
-                transport = install_mock(script)
-            return GatewayWorker(binding, transport)
-    raise ConfigError(f"unintelligible worker spec {spec!r}")
-
-
-def _central_from_spec(spec: Any):
-    if spec is None or spec == "scripted" or (isinstance(spec, Mapping) and spec.get("kind", "scripted") == "scripted"):
-        return ScriptedOrchestrator()
-    if isinstance(spec, Mapping) and spec.get("kind") in ("model", "mock"):
+        return _SCRIPTED[role]()
+    if role == "worker" and isinstance(spec, str) and spec.startswith("scripted:"):
+        return _flaky_worker(spec.split(":", 1)[1], seed, label)
+    kind = spec.get("kind", "scripted") if isinstance(spec, Mapping) else None
+    if kind == "scripted":
+        return _SCRIPTED[role]()
+    if role == "worker" and kind == "flaky":
+        return _flaky_worker(spec.get("failure_rate", 0.0), seed, label)
+    if kind not in ("model", "mock"):
+        raise ConfigError(f"unintelligible {role} spec {spec!r}")
+    model_id = _require(spec, "model_id", str, where)
+    max_retries = _int_or(spec, "max_retries", 2, where)
+    try:
         binding = ModelBinding(
-            model_id=spec["model_id"],
+            model_id=model_id,
             endpoint_url=spec.get("endpoint_url", ""),
             auth_env_var=spec.get("auth_env_var", ""),
-            max_retries=int(spec.get("max_retries", 2)),
+            max_retries=max_retries,
         )
-        transport = None
-        if spec.get("kind") == "mock":
-            script = json.loads(Path(spec["script"]).read_text(encoding="utf-8"))
-            transport = install_mock(script)
-        return GatewayOrchestrator(binding, transport)
-    raise ConfigError(f"unintelligible orchestrator spec {spec!r}")
+    except ValueError as exc:  # a negative max_retries
+        raise ConfigError(f"{where}: {exc}")
+    transport = None
+    if kind == "mock":
+        path = Path(_require(spec, "script", str, where))
+        try:
+            transport = install_mock(_read_json(path, "mock script"))
+        except TypeError as exc:  # not a list of entries, or an unknown entry key
+            raise ConfigError(f"mock script {path}: {exc}")
+    return _GATEWAY[role](binding, transport)
 
 
-def _planner_from_spec(spec: Any):
-    if spec is None or spec == "scripted" or (isinstance(spec, Mapping) and spec.get("kind", "scripted") == "scripted"):
-        return ScriptedPlanner()
-    if isinstance(spec, Mapping) and spec.get("kind") in ("model", "mock"):
-        binding = ModelBinding(
-            model_id=spec["model_id"],
-            endpoint_url=spec.get("endpoint_url", ""),
-            auth_env_var=spec.get("auth_env_var", ""),
-            max_retries=int(spec.get("max_retries", 2)),
-        )
-        transport = None
-        if spec.get("kind") == "mock":
-            script = json.loads(Path(spec["script"]).read_text(encoding="utf-8"))
-            transport = install_mock(script)
-        return GatewayPlanner(binding, transport)
-    raise ConfigError(f"unintelligible planner spec {spec!r}")
+def _build_workers(specs: Any, roster: Sequence[str], seed: int) -> dict[str, Any]:
+    """One worker per agent; a list of specs is dealt round-robin over the roster."""
+    pool = (specs or [None]) if isinstance(specs, list) else [specs]
+    return {
+        agent_id: _policy_from_spec("worker", pool[i % len(pool)], seed, agent_id)
+        for i, agent_id in enumerate(roster)
+    }
 
 
 # --- assign-eval ---------------------------------------------------------------
@@ -225,10 +227,10 @@ def cmd_assign_eval(args: argparse.Namespace) -> int:
     )
     seed = _require(conf, "seed", int, "assign-eval")
     count = _require(conf, "instances", int, "assign-eval")
-    n_min = _int_or(conf, "n_min", 2)
-    n_max = _int_or(conf, "n_max", 8)
-    lo = _int_or(conf, "lo", 0)
-    hi = _int_or(conf, "hi", 99)
+    n_min = _int_or(conf, "n_min", 2, "assign-eval")
+    n_max = _int_or(conf, "n_max", 8, "assign-eval")
+    lo = _int_or(conf, "lo", 0, "assign-eval")
+    hi = _int_or(conf, "hi", 99, "assign-eval")
     allocator = conf.get("allocator") or "hungarian"
     strict = bool(conf.get("strict_mapping"))
     output = Path(_require(conf, "output", str, "assign-eval"))
@@ -242,7 +244,7 @@ def cmd_assign_eval(args: argparse.Namespace) -> int:
         mock_file = conf.get("mock_file")
         if not mock_file:
             raise ConfigError("assign-eval: allocator 'mock' needs --mock-file")
-        mock_pool = json.loads(Path(mock_file).read_text(encoding="utf-8"))
+        mock_pool = _read_json(Path(mock_file), "mock file")
 
     output.mkdir(parents=True, exist_ok=True)
     instances: list[asg.CostMatrix] = []
@@ -316,34 +318,26 @@ def _run_one_mode(
     bindings: Mapping[str, Any],
 ) -> EpisodeReport:
     state = load_level(level, agent_count, seed)
-    worker_specs = bindings.get("workers")
-    workers = {}
-    for i, agent_id in enumerate(state.agent_ids()):
-        spec = None
-        if isinstance(worker_specs, list) and worker_specs:
-            spec = worker_specs[i % len(worker_specs)]
-        elif worker_specs is not None:
-            spec = worker_specs
-        workers[agent_id] = _worker_from_spec(spec, seed, agent_id)
     if mode is ControllerMode.ORCHESTRATOR:
-        return run_episode(mode, state, central=_central_from_spec(bindings.get("orchestrator")), budget=budget)
+        central = _policy_from_spec("orchestrator", bindings.get("orchestrator"))
+        return run_episode(mode, state, central=central, budget=budget)
+    workers = _build_workers(bindings.get("workers"), state.agent_ids(), seed)
+    planner = None
     if mode is ControllerMode.PLANNER:
-        return run_episode(
-            mode, state, workers=workers,
-            planner=_planner_from_spec(bindings.get("planner")), budget=budget,
-        )
-    return run_episode(mode, state, workers=workers, budget=budget)
+        planner = _policy_from_spec("planner", bindings.get("planner"))
+    return run_episode(mode, state, workers=workers, planner=planner, budget=budget)
 
 
 def cmd_kitchen_run(args: argparse.Namespace) -> int:
-    conf = _merge_config(args, ["seed", "level", "agents", "mode", "budget", "output", "jobs"])
+    conf = _merge_config(args, ["seed", "level", "agents", "mode", "budget", "output"])
     seed = _require(conf, "seed", int, "kitchen-run")
     agents = _require(conf, "agents", int, "kitchen-run")
+    if not MIN_AGENTS <= agents <= MAX_AGENTS:
+        raise ConfigError(f"kitchen-run: agents must be in [{MIN_AGENTS}, {MAX_AGENTS}], got {agents}")
     level = _load_level_config(conf.get("level") or "level_1")
     mode_arg = (conf.get("mode") or "individual").lower()
-    budget = int(conf["budget"]) if conf.get("budget") is not None else None
+    budget = _int_or(conf, "budget", None, "kitchen-run")
     output = Path(_require(conf, "output", str, "kitchen-run"))
-    jobs = _int_or(conf, "jobs", 1)
     bindings = conf.get("bindings", {})
 
     if mode_arg == "all":
@@ -354,19 +348,10 @@ def cmd_kitchen_run(args: argparse.Namespace) -> int:
         except ValueError:
             raise ConfigError(f"kitchen-run: unknown mode {mode_arg!r}")
 
-    def run(mode: ControllerMode) -> tuple[ControllerMode, EpisodeReport]:
+    for mode in modes:
         episode_seed = derive_seed(seed, "episode", mode.value)
-        return mode, _run_one_mode(mode, level, agents, episode_seed, budget, bindings)
-
-    if jobs > 1 and len(modes) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, modes))
-    else:
-        results = [run(m) for m in modes]
-
-    for mode, report in results:
+        report = _run_one_mode(mode, level, agents, episode_seed, budget, bindings)
         target = output / mode.value if len(modes) > 1 else output
-        episode_seed = derive_seed(seed, "episode", mode.value)
         _write_episode_artifacts(target, report, level, agents, episode_seed, budget)
         planner_note = (
             f", planner replans={report.planner_invocations}"
@@ -395,14 +380,18 @@ def cmd_replay(args: argparse.Namespace) -> int:
     level = LevelConfig.from_json_dict(header["level"])
     state = load_level(level, int(header["agent_count"]), int(header["seed"]))
 
+    roster = state.agent_ids()
+    location_ids = sorted(state.locations)
+
     mismatches = 0
     for record in lines[1:]:
-        actions = {
-            agent: action_from_json_dict(
-                _action_payload(agent, text)
-            )
-            for agent, text in record["actions"].items()
-        }
+        texts = record["actions"]
+        actions = {}
+        for agent in roster:
+            parsed = parse_action(texts.get(agent, ""), roster, location_ids).parsed
+            actions[agent] = parsed if parsed is not None and parsed.agent == agent else Noop(agent)
+        # traces hold canonical action text, so any other text is a mismatch
+        readable = texts == {agent: action.to_text() for agent, action in actions.items()}
         try:
             outcome = kitchen_step(state, actions)
         except EpisodeOver:
@@ -411,7 +400,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         state = outcome.next_state
         got_events = [e.to_json_dict() for e in outcome.events]
         got_hash = observation_hash(state)
-        if got_events != record["events"] or got_hash != record["observation_hash"]:
+        if not readable or got_events != record["events"] or got_hash != record["observation_hash"]:
             mismatches += 1
             print(f"replay: mismatch at step {record['step']}")
     if mismatches:
@@ -421,26 +410,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _action_payload(agent: str, text: str) -> dict[str, Any]:
-    """Parse the canonical action text stored in traces back to a payload."""
-    verb, _, rest = text.partition("(")
-    parts = [p.strip() for p in rest.rstrip(")").split(",")]
-    payload: dict[str, Any] = {"kind": verb.strip(), "agent": parts[0]}
-    if verb in ("goto", "put", "activate", "get"):
-        payload["location"] = parts[1]
-    if verb == "get":
-        payload["item"] = parts[2]
-    return payload
-
-
 # --- capability-sweep --------------------------------------------------------------
 
 
 def cmd_capability_sweep(args: argparse.Namespace) -> int:
-    conf = _merge_config(args, ["seed", "level", "workers", "budget", "output", "jobs"])
+    conf = _merge_config(args, ["seed", "level", "workers", "budget", "output"])
     seed = _require(conf, "seed", int, "capability-sweep")
     level = _load_level_config(conf.get("level") or "level_1")
-    budget = int(conf["budget"]) if conf.get("budget") is not None else None
+    budget = _int_or(conf, "budget", None, "capability-sweep")
     output = Path(_require(conf, "output", str, "capability-sweep"))
     workers_arg = conf.get("workers")
     if workers_arg is None:
@@ -452,18 +429,12 @@ def cmd_capability_sweep(args: argparse.Namespace) -> int:
     episode_seed = derive_seed(seed, "sweep")
     planner_spec = conf.get("bindings", {}).get("planner")
 
-    def build_workers(state: KitchenState) -> dict[str, Any]:
-        return {
-            agent_id: _worker_from_spec(specs[i], seed, agent_id)
-            for i, agent_id in enumerate(state.agent_ids())
-        }
-
     # pass 1: on-the-fly -- the planner knows nothing about its workers
     state = load_level(level, len(specs), episode_seed)
-    workers = build_workers(state)
+    workers = _build_workers(specs, state.agent_ids(), seed)
     onthefly = run_episode(
         ControllerMode.PLANNER, state, workers=workers,
-        planner=_planner_from_spec(planner_spec), budget=budget,
+        planner=_policy_from_spec("planner", planner_spec), budget=budget,
     )
 
     # pass 2: informed -- same seed, hints measured from pass 1
@@ -473,8 +444,8 @@ def cmd_capability_sweep(args: argparse.Namespace) -> int:
     hint = capability_hint(onthefly.capability, roster_models)
     state = load_level(level, len(specs), episode_seed)
     informed = run_episode(
-        ControllerMode.PLANNER, state, workers=build_workers(state),
-        planner=_planner_from_spec(planner_spec), budget=budget,
+        ControllerMode.PLANNER, state, workers=_build_workers(specs, state.agent_ids(), seed),
+        planner=_policy_from_spec("planner", planner_spec), budget=budget,
         capability_block=hint,
     )
 
@@ -524,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--seed", type=int, help="root seed for all randomness")
     common.add_argument("--output", help="output directory")
-    common.add_argument("--jobs", type=int, help="parallel episodes (sweeps)")
 
     p = sub.add_parser("assign-eval", parents=[common], help="score an allocator on assignment instances")
     p.add_argument("--instances", type=int, help="number of instances")

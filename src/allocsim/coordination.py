@@ -95,8 +95,6 @@ class PolicyQuery:
     observation: str
     agent_id: str
     directives: tuple[Directive, ...] | None = None
-    plan_text: str | None = None
-    legal_action_hint: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -446,15 +444,12 @@ def run_episode(
                 policy = workers[agent_id]
                 acting_model[agent_id] = policy.model_id
                 directives = None
-                plan_text = None
                 if mode is ControllerMode.PLANNER and plan is not None:
                     directives = plan.for_agent(agent_id)
-                    plan_text = plan.to_text()
                 query = PolicyQuery(
                     observation=observation,
                     agent_id=agent_id,
                     directives=directives,
-                    plan_text=plan_text,
                 )
                 response, failure = _call_policy(policy, query, snapshot)
                 policy_calls["worker"] += 1

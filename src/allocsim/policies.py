@@ -450,8 +450,12 @@ class FlakyWorker:
 # --- model-backed adapters -----------------------------------------------------
 
 
-class GatewayWorker:
-    """Worker policy backed by a chat-completion endpoint."""
+class _GatewayPolicy:
+    """Shared state of the model-backed adapters.
+
+    Each subclass defines its ``respond`` or ``plan`` in its own class body,
+    because ``bench/tracer.py`` patches those methods class by class.
+    """
 
     def __init__(
         self,
@@ -463,46 +467,35 @@ class GatewayWorker:
         self.transport = transport
         self.decoding = decoding
         self.model_id = binding.model_id
+
+    def _ask(self, system: str, user: str) -> PolicyResponse:
+        messages = [
+            {"role": "system", "content": system},
+            {"role": "user", "content": user},
+        ]
+        result = complete(self.binding, messages, self.decoding, self.transport)
+        return PolicyResponse(result.text, result.tokens_in, result.tokens_out)
+
+
+class GatewayWorker(_GatewayPolicy):
+    """Worker policy backed by a chat-completion endpoint."""
 
     def respond(self, query: PolicyQuery, state: KitchenState) -> PolicyResponse:
         directive_text = None
         if query.directives:
             directive_text = "; ".join(d.text for d in query.directives)
-        messages = [
-            {"role": "system", "content": WORKER_SYSTEM},
-            {
-                "role": "user",
-                "content": worker_prompt(query.observation, directive_text, query.agent_id),
-            },
-        ]
-        result = complete(self.binding, messages, self.decoding, self.transport)
-        return PolicyResponse(result.text, result.tokens_in, result.tokens_out)
+        return self._ask(
+            WORKER_SYSTEM, worker_prompt(query.observation, directive_text, query.agent_id)
+        )
 
 
-class GatewayOrchestrator:
+class GatewayOrchestrator(_GatewayPolicy):
     """Central policy backed by a chat-completion endpoint."""
 
-    def __init__(
-        self,
-        binding: ModelBinding,
-        transport: Transport | None = None,
-        decoding: Decoding = Decoding(),
-    ):
-        self.binding = binding
-        self.transport = transport
-        self.decoding = decoding
-        self.model_id = binding.model_id
-
     def respond(self, query: PolicyQuery, state: KitchenState) -> PolicyResponse:
-        messages = [
-            {"role": "system", "content": ORCHESTRATOR_SYSTEM},
-            {
-                "role": "user",
-                "content": orchestrator_prompt(query.observation, state.agent_ids()),
-            },
-        ]
-        result = complete(self.binding, messages, self.decoding, self.transport)
-        return PolicyResponse(result.text, result.tokens_in, result.tokens_out)
+        return self._ask(
+            ORCHESTRATOR_SYSTEM, orchestrator_prompt(query.observation, state.agent_ids())
+        )
 
 
 _DIRECTIVE_LINE = re.compile(r"^\s*(agent\d+)\s*[:\-]\s*(.+?)\s*$", re.IGNORECASE | re.MULTILINE)
@@ -525,22 +518,11 @@ def parse_plan_text(text: str, roster: Sequence[str]) -> dict[str, tuple[Directi
     return directives
 
 
-class GatewayPlanner:
+class GatewayPlanner(_GatewayPolicy):
     """Planner backed by a chat-completion endpoint.
 
     Unparseable plans return ``None`` so the episode keeps its prior plan.
     """
-
-    def __init__(
-        self,
-        binding: ModelBinding,
-        transport: Transport | None = None,
-        decoding: Decoding = Decoding(),
-    ):
-        self.binding = binding
-        self.transport = transport
-        self.decoding = decoding
-        self.model_id = binding.model_id
 
     def plan(
         self,
@@ -550,13 +532,8 @@ class GatewayPlanner:
         prior: Plan | None,
         events: Sequence[KitchenEvent],
     ) -> tuple[Plan | None, PolicyResponse]:
-        messages = [
-            {"role": "system", "content": PLANNER_SYSTEM},
-            {"role": "user", "content": prompt},
-        ]
-        result = complete(self.binding, messages, self.decoding, self.transport)
-        response = PolicyResponse(result.text, result.tokens_in, result.tokens_out)
-        directives = parse_plan_text(result.text, roster)
+        response = self._ask(PLANNER_SYSTEM, prompt)
+        directives = parse_plan_text(response.text, roster)
         if directives is None:
             return None, response
         plan = Plan(

@@ -127,7 +127,6 @@ class TestFeasible:
     def test_empty_is_feasible(self):
         verdict = feasible(AllocationMatrix(), simple_table())
         assert verdict.feasible
-        assert verdict.binary_domain_ok
 
     def test_two_agents_on_one_slot(self):
         verdict = feasible(AllocationMatrix.of((0, 0, 0), (0, 1, 0)), simple_table())

@@ -109,7 +109,7 @@ class TestKitchenRun:
     def test_mode_sweep_emits_three_reports(self, tmp_path):
         out = tmp_path / "sweep"
         code = main(["kitchen-run", "--seed", "5", "--level", "level_1", "--agents", "2",
-                     "--mode", "all", "--jobs", "2", "--output", str(out)])
+                     "--mode", "all", "--output", str(out)])
         assert code == 0
         reports = {}
         for mode in ("individual", "orchestrator", "planner"):
@@ -162,6 +162,15 @@ class TestKitchenRun:
         report = read_json(out / "report.json")
         assert report["agent_count"] == 2  # taken from the config file
 
+    def test_orchestrator_mode_ignores_worker_bindings(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"bindings": {
+            "workers": {"kind": "mock", "model_id": "m", "script": str(tmp_path / "absent.json")},
+        }}), encoding="utf-8")
+        assert main(["kitchen-run", "--seed", "5", "--level", "level_1", "--agents", "2",
+                     "--mode", "orchestrator", "--config", str(config),
+                     "--output", str(tmp_path / "kr")]) == 0
+
 
 class TestReplay:
     def test_replay_matches(self, tmp_path):
@@ -179,6 +188,16 @@ class TestReplay:
         record = json.loads(lines[10])
         record["observation_hash"] = "0" * 64
         lines[10] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["replay", "--trace", str(trace)]) == 1
+
+        # an action text no parser can read is a mismatch, not a crash
+        main(["kitchen-run", "--seed", "5", "--level", "level_1",
+              "--agents", "1", "--mode", "individual", "--output", str(out)])
+        lines = trace.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[3])
+        record["actions"]["agent0"] = "teleport(agent0"
+        lines[3] = json.dumps(record, sort_keys=True, separators=(",", ":"))
         trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["replay", "--trace", str(trace)]) == 1
 
@@ -214,3 +233,70 @@ class TestCapabilitySweep:
 
     def test_roster_required(self, tmp_path):
         assert main(["capability-sweep", "--seed", "1", "--output", str(tmp_path / "x")]) == 2
+
+
+def _config_run(argv, conf):
+    """Argv builder: ``argv`` plus a config file holding ``conf(tmp_path)``."""
+    def build(tmp_path):
+        path = tmp_path / "config.json"
+        payload = conf(tmp_path) if callable(conf) else conf
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
+        return [*argv, "--config", str(path), "--output", str(tmp_path / "out")]
+    return build
+
+
+def _mock_binding(role, script_text=None, **spec):
+    """Config with one mock binding for ``role``; no script file when ``script_text`` is None."""
+    def conf(tmp_path):
+        script = tmp_path / "script.json"
+        if script_text is not None:
+            script.write_text(script_text, encoding="utf-8")
+        binding = {"kind": "mock", "model_id": "m", "script": str(script), **spec}
+        return {"bindings": {role: {k: v for k, v in binding.items() if v is not None}}}
+    return conf
+
+
+_KITCHEN_BASE = ["kitchen-run", "--seed", "1", "--level", "level_1", "--mode", "all"]
+_KITCHEN = [*_KITCHEN_BASE, "--agents", "2", "--budget", "3"]
+_SWEEP_BASE = ["capability-sweep", "--seed", "1", "--level", "level_1"]
+_SWEEP = [*_SWEEP_BASE, "--budget", "3"]
+_ASSIGN = ["assign-eval", "--seed", "1", "--instances", "2"]
+_ENTRY = '[{"text": "noop(agent0)", "tokens_in": 1, "tokens_out": 1}]'
+
+BAD_INPUT = [
+    pytest.param(_config_run([*_KITCHEN_BASE, "--agents", "9"], {}), id="agents-out-of-range"),
+    pytest.param(_config_run([*_SWEEP, "--workers", "scripted:abc"], {}), id="flaky-rate-not-a-number"),
+    pytest.param(_config_run([*_SWEEP, "--workers", "scripted:1.5"], {}), id="flaky-rate-above-one"),
+    pytest.param(_config_run(_KITCHEN, {"bindings": {"workers": {"kind": "flaky", "failure_rate": "x"}}}),
+                 id="flaky-kind-rate-not-a-number"),
+    pytest.param(_config_run(_KITCHEN, _mock_binding("workers", _ENTRY, model_id=None)), id="mock-without-model-id"),
+    pytest.param(_config_run(_KITCHEN, {"bindings": {"planner": {"kind": "model"}}}), id="model-without-model-id"),
+    pytest.param(_config_run(_KITCHEN, _mock_binding("workers", _ENTRY, max_retries="two")),
+                 id="max-retries-not-an-int"),
+    pytest.param(_config_run(_KITCHEN, _mock_binding("orchestrator", _ENTRY, max_retries=-1)),
+                 id="max-retries-negative"),
+    pytest.param(_config_run(_KITCHEN, _mock_binding("workers")), id="missing-script"),
+    pytest.param(_config_run(_KITCHEN, _mock_binding("planner", "{not json")), id="script-not-json"),
+    pytest.param(_config_run(_KITCHEN, _mock_binding("workers", '[{"txt": "noop(agent0)"}]')),
+                 id="script-entry-unknown-key"),
+    pytest.param(_config_run(_KITCHEN, _mock_binding("workers", '"noop(agent0)"')), id="script-not-a-list"),
+    pytest.param(_config_run(_KITCHEN, "[1, 2]"), id="config-not-an-object"),
+    pytest.param(_config_run(_KITCHEN, "{"), id="config-not-json"),
+    pytest.param(_config_run([*_KITCHEN_BASE, "--agents", "2"], {"budget": "ten"}), id="kitchen-budget-not-an-int"),
+    pytest.param(_config_run([*_SWEEP_BASE, "--workers", "scripted"], {"budget": "ten"}),
+                 id="sweep-budget-not-an-int"),
+    *[
+        pytest.param(_config_run(_ASSIGN, {key: "x"}), id=f"assign-{key}-not-an-int")
+        for key in ("n_min", "n_max", "lo", "hi")
+    ],
+    pytest.param(_config_run([*_ASSIGN, "--allocator", "mock", "--mock-file", "absent.json"], {}),
+                 id="missing-mock-file"),
+]
+
+
+@pytest.mark.parametrize("build_argv", BAD_INPUT)
+def test_bad_input_is_a_config_error(build_argv, tmp_path, capsys):
+    code = main(build_argv(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
