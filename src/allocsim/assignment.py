@@ -4,9 +4,12 @@ The core object is a square cost matrix where entry ``(i, j)`` is the cost
 of agent ``j`` doing task ``i``. Two solvers are provided with identical
 contracts:
 
-* :func:`hungarian_solve` -- polynomial-time, backed by
-  ``scipy.optimize.linear_sum_assignment`` plus a canonicalization pass
-  that selects the lexicographically smallest optimal mapping;
+* :func:`hungarian_solve` -- O(n^3): one
+  ``scipy.optimize.linear_sum_assignment`` call (Crouse, 2016) for an
+  optimal matching, shortest paths on that matching for optimal duals,
+  then a lexicographically smallest perfect matching of the tight-edge
+  subgraph, whose perfect matchings are exactly the optimal assignments
+  (Burkard, Dell'Amico & Martello, *Assignment Problems*, SIAM 2009);
 * :func:`brute_force_solve` -- exhaustive permutation enumeration, usable
   as an independent oracle for small ``n``.
 
@@ -49,6 +52,20 @@ class CostMatrix:
         n = len(self.values)
         if n == 0:
             raise ValueError("cost matrix must be non-empty")
+        try:
+            array = np.asarray(self.values)
+        except (TypeError, ValueError, OverflowError):  # ragged or unconvertible rows
+            array = None
+        if (
+            array is not None
+            and array.shape == (n, n)
+            and array.dtype.kind in "biuf"
+            and np.isfinite(array).all()
+            and (array >= 0).all()
+        ):
+            return
+        # anything else is judged entry by entry, which also names the first
+        # bad entry in the error
         for row in self.values:
             if len(row) != n:
                 raise ValueError("cost matrix must be square")
@@ -230,43 +247,93 @@ def generate_instance(n: int, seed: int, lo: int = 0, hi: int = 99) -> CostMatri
     return CostMatrix.from_rows(values.tolist())
 
 
-def _scipy_optimum(values: np.ndarray) -> float:
-    rows, cols = linear_sum_assignment(values)
-    return float(values[rows, cols].sum())
+def _agent_potentials(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Shortest-path potentials on the agent graph of an optimal matching.
+
+    Edge ``cols[i] -> j`` weighs ``values[i, j] - values[i, cols[i]]``: task
+    ``i`` hands its agent over and takes ``j``. An optimal matching leaves
+    no negative cycle, so Bellman-Ford from a zero start converges within
+    n rounds; the cap only stops it when float rounding leaves a cycle a
+    few ulps below zero.
+    """
+    n = len(cols)
+    weights = values - values[np.arange(n), cols][:, None]
+    d = np.zeros(n)
+    for _ in range(n + 1):
+        relaxed = np.minimum(d, (d[cols][:, None] + weights).min(axis=0))
+        if np.array_equal(relaxed, d):
+            break
+        d = relaxed
+    return d
+
+
+def _lex_min_matching(tight: np.ndarray, cols: np.ndarray) -> list[int]:
+    """Lexicographically smallest perfect matching of ``tight``.
+
+    ``cols`` is a perfect matching inside ``tight`` (task i -> agent
+    cols[i]). Each task in turn takes the smallest agent that leaves a
+    perfect matching for the later tasks. That is an agent from which an
+    alternating path over later tasks leads back to the task's current
+    agent; a reverse breadth-first search finds all of them at once.
+    """
+    n = len(cols)
+    cols = cols.copy()
+    row_of = np.empty(n, dtype=np.intp)
+    row_of[cols] = np.arange(n)
+    first_tight = tight.argmax(axis=1)
+    for task in range(n):
+        current = cols[task]
+        if first_tight[task] == current:
+            continue
+        if not (tight[task, :current] & (row_of[:current] > task)).any():
+            continue  # every tight agent below ``current`` is taken by an earlier task
+        # reached[a]: some later task can give up agent a, and the tasks along
+        # the way shift so that the chain ends at ``current``; nxt[a] is the
+        # agent that a's task moves to
+        reached = np.zeros(n, dtype=bool)
+        reached[current] = True
+        nxt = np.empty(n, dtype=np.intp)
+        frontier = np.array([current])
+        rows = np.arange(task + 1, n)
+        while frontier.size and rows.size:
+            hits = tight[np.ix_(rows, frontier)]
+            hit = hits.any(axis=1)
+            new_agents = cols[rows[hit]]
+            nxt[new_agents] = frontier[hits[hit].argmax(axis=1)]
+            reached[new_agents] = True
+            frontier, rows = new_agents, rows[~hit]
+        path = [int(np.flatnonzero(tight[task] & reached)[0])]
+        while path[-1] != current:
+            path.append(int(nxt[path[-1]]))
+        movers = [task, *row_of[path[:-1]]]
+        cols[movers] = path
+        row_of[path] = movers
+    return [int(a) for a in cols]
 
 
 def hungarian_solve(matrix: CostMatrix) -> Assignment:
     """Minimum-cost assignment; lexicographically smallest among optima.
 
-    The optimum itself comes from ``scipy.optimize.linear_sum_assignment``.
-    Canonicalization then fixes each task in turn to the smallest agent
-    that still admits an optimal completion of the remaining sub-problem,
-    which selects the lexicographically smallest optimal mapping.
+    One ``scipy.optimize.linear_sum_assignment`` call (Crouse's
+    shortest-augmenting-path solver, 2016) gives an optimal matching.
+    Shortest paths on that matching's agent graph give optimal duals, and
+    for any optimal dual the optimal assignments are exactly the perfect
+    matchings of the tight-edge subgraph (Burkard, Dell'Amico & Martello,
+    *Assignment Problems*, SIAM 2009). A greedy walk over that subgraph
+    fixes each task in turn to the smallest agent that still admits a
+    perfect matching of the later tasks, which selects the
+    lexicographically smallest optimal mapping in O(n^3).
     """
     values = matrix.as_array()
-    n = matrix.n
-    optimum = _scipy_optimum(values)
-
-    mapping: list[int] = []
-    free_agents = list(range(n))
-    prefix_cost = 0.0
-    for task in range(n):
-        rest_tasks = np.arange(task + 1, n)
-        for idx, agent in enumerate(free_agents):
-            candidate_cost = prefix_cost + values[task, agent]
-            if rest_tasks.size:
-                rest_agents = free_agents[:idx] + free_agents[idx + 1 :]
-                sub = values[np.ix_(rest_tasks, rest_agents)]
-                candidate_cost += _scipy_optimum(sub)
-            # integer matrices make this equality exact; float inputs get
-            # a tolerance to absorb summation order
-            if abs(candidate_cost - optimum) <= 1e-9 * max(1.0, abs(optimum)):
-                mapping.append(agent)
-                prefix_cost += values[task, agent]
-                free_agents.pop(idx)
-                break
-        else:  # pragma: no cover - would indicate a solver bug
-            raise RuntimeError("no agent preserves the optimum; inconsistent solver state")
+    rows, cols = linear_sum_assignment(values)
+    matched = values[rows, cols]
+    optimum = float(matched.sum())
+    d = _agent_potentials(values, cols)
+    u = matched - d[cols]
+    # integer matrices make the reduced costs exact; float inputs get a
+    # tolerance to absorb summation order
+    tight = values - u[:, None] - d[None, :] <= 1e-9 * max(1.0, abs(optimum))
+    mapping = _lex_min_matching(tight, cols)
     return Assignment(tuple(mapping), matrix.cost_of(mapping))
 
 

@@ -16,8 +16,9 @@ explicit flags win over the file. All randomness derives from the single
 ``--seed`` via labelled paths, so any sub-run is reproducible on its own.
 
 Exit codes: 0 on success, 1 when ``replay`` finds a mismatch, 2 on a
-configuration error (bad flag value, config file, binding spec or mock
-script), reported as one ``error:`` line on stderr.
+configuration error (bad flag value, config file, binding spec, mock
+script, mock file, level file or trace line), reported as one ``error:``
+line on stderr.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .kitchen import (
     MIN_AGENTS,
     EpisodeOver,
     LevelConfig,
+    MalformedLevel,
     Noop,
     load_level,
     observation_hash,
@@ -115,7 +117,10 @@ def _load_level_config(spec: str) -> LevelConfig:
         raise ConfigError(
             f"level {spec!r} is neither a built-in ({sorted(BUILTIN_LEVELS)}) nor a file"
         )
-    return LevelConfig.from_json_dict(_read_json(path, "level file"))
+    try:
+        return LevelConfig.from_json_dict(_read_json(path, "level file"))
+    except MalformedLevel as exc:
+        raise ConfigError(f"level file {path}: {exc}")
 
 
 # --- binding construction ----------------------------------------------------
@@ -221,6 +226,24 @@ def _allocate(matrix: asg.CostMatrix, allocator: str, rng: np.random.Generator,
     raise ConfigError(f"unknown allocator {allocator!r}")
 
 
+def _load_mock_pool(path: Path) -> list[Any]:
+    """Canned candidates: free-form answer strings or candidate JSON objects."""
+    pool = _read_json(path, "mock file")
+    if not isinstance(pool, list):
+        raise ConfigError(f"mock file {path} must hold a JSON list")
+    for index, entry in enumerate(pool):
+        if isinstance(entry, str):
+            continue
+        if not isinstance(entry, dict):
+            raise ConfigError(f"mock file {path}: entry {index} must be a string or an object")
+        if not isinstance(entry.get("mapping"), (list, type(None))):
+            raise ConfigError(f"mock file {path}: entry {index}: 'mapping' must be a list or null")
+        cost = entry.get("claimed_cost")
+        if isinstance(cost, bool) or not isinstance(cost, (int, float, type(None))):
+            raise ConfigError(f"mock file {path}: entry {index}: 'claimed_cost' must be a number or null")
+    return pool
+
+
 def cmd_assign_eval(args: argparse.Namespace) -> int:
     conf = _merge_config(
         args, ["seed", "instances", "n_min", "n_max", "lo", "hi", "allocator", "output", "strict_mapping", "mock_file"]
@@ -244,7 +267,7 @@ def cmd_assign_eval(args: argparse.Namespace) -> int:
         mock_file = conf.get("mock_file")
         if not mock_file:
             raise ConfigError("assign-eval: allocator 'mock' needs --mock-file")
-        mock_pool = _read_json(Path(mock_file), "mock file")
+        mock_pool = _load_mock_pool(Path(mock_file))
 
     output.mkdir(parents=True, exist_ok=True)
     instances: list[asg.CostMatrix] = []
@@ -372,9 +395,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
     trace_path = Path(args.trace)
     if not trace_path.exists():
         raise ConfigError(f"trace file not found: {trace_path}")
-    with trace_path.open(encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or lines[0].get("kind") != "trace_header":
+    try:
+        text = trace_path.read_text(encoding="utf-8")
+        lines = [json.loads(line) for line in text.splitlines() if line.strip()]
+    except ValueError as exc:  # undecodable bytes or a line that is not JSON
+        raise ConfigError(f"trace file {trace_path} is not JSON lines: {exc}")
+    if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "trace_header":
         raise ConfigError("trace file lacks a header record")
     header = lines[0]
     level = LevelConfig.from_json_dict(header["level"])

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from allocsim import assignment
 from allocsim.assignment import (
     Assignment,
     Candidate,
@@ -40,6 +42,54 @@ def reference_optimum(matrix: CostMatrix) -> Assignment:
         if best_cost is None or cost < best_cost:
             best_cost, best_mapping = cost, perm
     return Assignment(tuple(best_mapping), best_cost)
+
+
+def reference_canonical_solve(matrix: CostMatrix) -> Assignment:
+    """The re-solve canonicaliser that :func:`hungarian_solve` replaced.
+
+    Fixes each task in turn to the smallest free agent whose choice still
+    admits an optimal completion, checked by solving the remaining
+    sub-problem with ``linear_sum_assignment``: up to n^2 solves.
+    """
+    values = matrix.as_array()
+    n = matrix.n
+
+    def optimum(sub: np.ndarray) -> float:
+        rows, cols = linear_sum_assignment(sub)
+        return float(sub[rows, cols].sum())
+
+    target = optimum(values)
+    mapping: list[int] = []
+    free_agents = list(range(n))
+    prefix_cost = 0.0
+    for task in range(n):
+        rest_tasks = np.arange(task + 1, n)
+        for idx, agent in enumerate(free_agents):
+            candidate_cost = prefix_cost + values[task, agent]
+            if rest_tasks.size:
+                rest_agents = free_agents[:idx] + free_agents[idx + 1 :]
+                candidate_cost += optimum(values[np.ix_(rest_tasks, rest_agents)])
+            if abs(candidate_cost - target) <= 1e-9 * max(1.0, abs(target)):
+                mapping.append(agent)
+                prefix_cost += values[task, agent]
+                free_agents.pop(idx)
+                break
+        else:
+            raise AssertionError("no agent preserves the optimum")
+    return Assignment(tuple(mapping), matrix.cost_of(mapping))
+
+
+def reference_entry_check(values) -> None:
+    """The per-entry loop that ``CostMatrix.__post_init__`` vectorised."""
+    n = len(values)
+    if n == 0:
+        raise ValueError("cost matrix must be non-empty")
+    for row in values:
+        if len(row) != n:
+            raise ValueError("cost matrix must be square")
+        for v in row:
+            if not np.isfinite(v) or v < 0:
+                raise ValueError(f"cost entries must be finite and >= 0, got {v!r}")
 
 
 class TestGenerateInstance:
@@ -132,6 +182,91 @@ class TestSolvers:
             result = solve(shifted)
             assert result.total_cost == base_h.total_cost + k
             assert result.mapping == base_h.mapping
+
+
+def _tie_heavy_instances():
+    """(label, rows) pairs, n 1..32: integer costs 0..hi and one-decimal floats."""
+    for hi in (0, 1, 3, 99):
+        for n in range(1, 33):
+            yield f"0..{hi}", generate_instance(n, seed=7919 * hi + n, lo=0, hi=hi).values
+    for n in range(1, 33):
+        rng = np.random.default_rng(500 + n)
+        yield "one-decimal", (rng.integers(0, 30, size=(n, n)) / 10).tolist()
+
+
+class TestCanonicalSolve:
+    @pytest.mark.parametrize("label", ["0..0", "0..1", "0..3", "0..99", "one-decimal"])
+    def test_matches_resolve_reference(self, label):
+        for kind, rows in _tie_heavy_instances():
+            if kind == label:
+                m = CostMatrix.from_rows(rows)
+                assert hungarian_solve(m) == reference_canonical_solve(m), (label, m.n)
+
+    def test_one_lsa_call_per_solve(self, monkeypatch):
+        calls = []
+
+        def counting(values):
+            calls.append(values.shape)
+            return linear_sum_assignment(values)
+
+        monkeypatch.setattr(assignment, "linear_sum_assignment", counting)
+        matrices = [generate_instance(n, seed=n, lo=0, hi=hi) for n in (1, 9, 40) for hi in (0, 3, 99)]
+        for m in matrices:
+            hungarian_solve(m)
+        assert calls == [(m.n, m.n) for m in matrices]
+
+
+class TestCostMatrixChecks:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param(((1, 2), (3,)), id="ragged-short"),
+            pytest.param(((1, 2), (3, 4, 5)), id="ragged-long"),
+            pytest.param(((1, -1), (3, 2)), id="negative"),
+            pytest.param(((1, 2), (-0.5, 2)), id="negative-float"),
+            pytest.param(((1, 2), (float("nan"), 2)), id="nan"),
+            pytest.param(((1, float("inf")), (3, 2)), id="inf"),
+            pytest.param(((1, None), (3, 2)), id="none"),
+            pytest.param((("1", "2"), ("3", "4")), id="strings"),
+            pytest.param(((1, -1), (3,)), id="negative-before-ragged"),
+            pytest.param(((1, 2), (3, -1), (4,)), id="ragged-row-after-negative"),
+            pytest.param(((1, 2), (None, -1)), id="none-before-negative"),
+            pytest.param(((1, 2), (3, 1 + 2j)), id="complex"),
+            pytest.param(((1, 2), (3, 2**70)), id="huge-int"),
+            pytest.param((), id="empty"),
+        ],
+    )
+    def test_first_bad_entry_raises_as_the_loop_does(self, values):
+        with pytest.raises(Exception) as expected:
+            reference_entry_check(values)
+        with pytest.raises(expected.type) as got:
+            CostMatrix(values)
+        assert str(got.value) == str(expected.value)
+
+    def test_error_messages(self):
+        with pytest.raises(ValueError, match="^cost matrix must be square$"):
+            CostMatrix(((1, 2), (3,)))
+        with pytest.raises(ValueError, match=r"^cost entries must be finite and >= 0, got -1$"):
+            CostMatrix(((1, -1), (3, 2)))
+        with pytest.raises(ValueError, match=r"^cost entries must be finite and >= 0, got nan$"):
+            CostMatrix(((1, 2), (float("nan"), 2)))
+        with pytest.raises(TypeError, match="isfinite"):
+            CostMatrix(((1, None), (3, 2)))
+        with pytest.raises(TypeError, match="isfinite"):
+            CostMatrix((("1", "2"), ("3", "4")))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param(((0, 2), (3, 4)), id="ints"),
+            pytest.param(((0.5, 2), (3, -0.0)), id="floats"),
+            pytest.param(((True, False), (1, 0)), id="bools"),
+            pytest.param(((np.int64(3), 2**63), (1, 0)), id="numpy-and-big-ints"),
+        ],
+    )
+    def test_accepts_what_the_loop_accepts(self, values):
+        reference_entry_check(values)
+        assert CostMatrix(values).values == values
 
 
 class TestValidate:

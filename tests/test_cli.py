@@ -256,6 +256,24 @@ def _mock_binding(role, script_text=None, **spec):
     return conf
 
 
+def _file_setting(key, text):
+    """Config whose ``key`` names a file holding ``text``."""
+    def conf(tmp_path):
+        path = tmp_path / f"{key}.json"
+        path.write_text(text, encoding="utf-8")
+        return {key: str(path)}
+    return conf
+
+
+def _replay_run(text):
+    """Argv builder: ``replay`` of a trace file holding ``text``."""
+    def build(tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(text, encoding="utf-8")
+        return ["replay", "--trace", str(path)]
+    return build
+
+
 _KITCHEN_BASE = ["kitchen-run", "--seed", "1", "--level", "level_1", "--mode", "all"]
 _KITCHEN = [*_KITCHEN_BASE, "--agents", "2", "--budget", "3"]
 _SWEEP_BASE = ["capability-sweep", "--seed", "1", "--level", "level_1"]
@@ -291,6 +309,25 @@ BAD_INPUT = [
     ],
     pytest.param(_config_run([*_ASSIGN, "--allocator", "mock", "--mock-file", "absent.json"], {}),
                  id="missing-mock-file"),
+    *[
+        pytest.param(_config_run([*_ASSIGN, "--allocator", "mock"], _file_setting("mock_file", text)), id=name)
+        for name, text in [
+            ("mock-file-an-object", '{"a": 1}'),
+            ("mock-file-a-string", '"task 0 -> agent 0"'),
+            ("mock-entry-a-number", '[5]'),
+            ("mock-entry-mapping-a-number", '[{"mapping": 5}]'),
+        ]
+    ],
+    pytest.param(_config_run([*_ASSIGN, "--allocator", "mock", "--n-min", "2", "--n-max", "2"],
+                             _file_setting("mock_file", '[{"mapping": [0, 1], "claimed_cost": "x"}, "task 0 -> agent 0"]')),
+                 id="mock-entry-cost-a-string"),
+    pytest.param(_config_run(["kitchen-run", "--seed", "1", "--agents", "2"], _file_setting("level", '{"level_id": "x"}')),
+                 id="level-file-malformed"),
+    pytest.param(_config_run(["capability-sweep", "--seed", "1", "--workers", "scripted"],
+                             _file_setting("level", '{"level_id": "x"}')),
+                 id="sweep-level-file-malformed"),
+    pytest.param(_replay_run("not json\n"), id="trace-line-not-json"),
+    pytest.param(_replay_run("[1]\n"), id="trace-header-not-an-object"),
 ]
 
 
