@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import threading
 import warnings
 from dataclasses import dataclass
 from decimal import Decimal
@@ -125,7 +124,6 @@ class CostLedger:
     def __init__(self, price_table: PriceTable | None = None):
         self.price_table = price_table or default_price_table()
         self.rows: list[LedgerRow] = []
-        self._lock = threading.Lock()
 
     def record_call(
         self,
@@ -148,8 +146,7 @@ class CostLedger:
         else:
             raise KeyError(f"model {model_id!r} not in price table")
         row = LedgerRow(model_id, role, tokens_in, tokens_out, usd, step, unpriced)
-        with self._lock:
-            self.rows.append(row)
+        self.rows.append(row)
         return row
 
     def total_usd(self) -> Fraction:
@@ -204,13 +201,11 @@ class CapabilityProfile:
 
     def __init__(self) -> None:
         self.cells: dict[tuple[str, str], CapabilityCell] = {}
-        self._lock = threading.Lock()
 
     def update(self, agent: str, model_id: str, succeeded: bool) -> None:
-        with self._lock:
-            cell = self.cells.setdefault((agent, model_id), CapabilityCell())
-            cell.attempted += 1
-            cell.succeeded += int(succeeded)
+        cell = self.cells.setdefault((agent, model_id), CapabilityCell())
+        cell.attempted += 1
+        cell.succeeded += int(succeeded)
 
     def cell(self, agent: str, model_id: str) -> CapabilityCell:
         return self.cells.get((agent, model_id), CapabilityCell())

@@ -44,6 +44,7 @@ class CostMatrix:
     """Square matrix of non-negative task-agent costs.
 
     ``values[i][j]`` is the cost of assigning agent ``j`` to task ``i``.
+    Equality, hashing and the repr come from ``values`` alone.
     """
 
     values: tuple[tuple[float, ...], ...]
@@ -63,7 +64,12 @@ class CostMatrix:
             and np.isfinite(array).all()
             and (array >= 0).all()
         ):
+            # the checked array is what the solvers read, so a private copy is kept
+            array = array.astype(float)
+            array.flags.writeable = False
+            object.__setattr__(self, "_array", array)
             return
+        object.__setattr__(self, "_array", None)
         # anything else is judged entry by entry, which also names the first
         # bad entry in the error
         for row in self.values:
@@ -82,7 +88,12 @@ class CostMatrix:
         return cls(tuple(tuple(row) for row in rows))
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        """The costs as a read-only float array."""
+        if self._array is not None:
+            return self._array
+        array = np.asarray(self.values, dtype=float)
+        array.flags.writeable = False
+        return array
 
     def cost_of(self, mapping: Sequence[int]) -> float:
         """Total cost of a permutation mapping (task i -> agent mapping[i])."""
@@ -425,6 +436,7 @@ def score_batch(
     instances: Sequence[CostMatrix],
     candidates: Sequence[Candidate],
     strict_mapping: bool = False,
+    references: Sequence[Assignment] | None = None,
 ) -> BatchScore:
     """Score candidates for validity and optimality, instance by instance.
 
@@ -432,16 +444,25 @@ def score_batch(
     the Hungarian optimum. With ``strict_mapping`` the mapping must equal
     the canonical optimal mapping exactly, which treats non-unique optima
     as wrong (a stricter, ground-truth-replay criterion).
+
+    ``references`` are the :func:`hungarian_solve` results of ``instances``
+    when the caller already has them; without them each instance is solved
+    here.
     """
     if len(instances) != len(candidates):
         raise ValueError(
             f"got {len(instances)} instances but {len(candidates)} candidates"
         )
+    if references is None:
+        references = [hungarian_solve(matrix) for matrix in instances]
+    elif len(references) != len(instances):
+        raise ValueError(
+            f"got {len(instances)} instances but {len(references)} references"
+        )
     rows: list[InstanceScore] = []
     n_valid = 0
     n_optimal = 0
-    for matrix, candidate in zip(instances, candidates):
-        reference = hungarian_solve(matrix)
+    for matrix, candidate, reference in zip(instances, candidates, references):
         report = validate(matrix, candidate)
         if report.is_valid:
             assert candidate.mapping is not None
@@ -512,7 +533,29 @@ def parse_candidate_text(text: str, n: int) -> Candidate:
 
 
 def dump_instances(instances: Iterable[CostMatrix]) -> str:
-    return json.dumps([m.to_json_dict() for m in instances], indent=2, sort_keys=True)
+    """``json.dumps([m.to_json_dict() ...], indent=2, sort_keys=True)``, byte for byte.
+
+    Matrices whose entries are all exactly ``int`` or all exactly ``float``
+    are written with string joins, since ``repr`` of such an entry is its
+    JSON text (``CostMatrix`` admits no NaN or infinity). Anything else
+    (bools, numpy scalars, a mix, no matrices) goes through ``json``.
+    """
+    instances = list(instances)
+    types: set[type] = set()
+    for m in instances:
+        for row in m.values:
+            types.update(map(type, row))
+    if types != {int} and types != {float}:
+        return json.dumps([m.to_json_dict() for m in instances], indent=2, sort_keys=True)
+    entry_sep = ",\n        "
+    rows_sep = "\n      ],\n      [\n        "
+    blocks = [
+        f'  {{\n    "n": {m.n},\n    "values": [\n      [\n        '
+        + rows_sep.join(entry_sep.join(map(repr, row)) for row in m.values)
+        + "\n      ]\n    ]\n  }"
+        for m in instances
+    ]
+    return "[\n" + ",\n".join(blocks) + "\n]"
 
 
 def load_instances(text: str) -> list[CostMatrix]:

@@ -204,9 +204,9 @@ def _greedy_candidate(matrix: asg.CostMatrix) -> asg.Candidate:
 
 
 def _allocate(matrix: asg.CostMatrix, allocator: str, rng: np.random.Generator,
-              mock_pool: list[Any] | None) -> asg.Candidate:
+              mock_pool: list[Any] | None, solved: asg.Assignment) -> asg.Candidate:
+    """One candidate for ``matrix``; ``solved`` is its optimal assignment."""
     if allocator == "hungarian":
-        solved = asg.hungarian_solve(matrix)
         return asg.Candidate(
             solved.mapping, solved.total_cost,
             raw_text=f"mapping {list(solved.mapping)}, cost {solved.total_cost}",
@@ -271,16 +271,21 @@ def cmd_assign_eval(args: argparse.Namespace) -> int:
 
     output.mkdir(parents=True, exist_ok=True)
     instances: list[asg.CostMatrix] = []
+    references: list[asg.Assignment] = []
     candidates: list[asg.Candidate] = []
     for i in range(count):
         size_rng = np.random.default_rng(derive_seed(seed, "size", i))
         n = int(size_rng.integers(n_min, n_max + 1))
         matrix = asg.generate_instance(n, derive_seed(seed, "instance", i), lo, hi)
         alloc_rng = np.random.default_rng(derive_seed(seed, "allocator", i))
+        # one solve per instance: the reference it is graded against, and
+        # the hungarian allocator's answer
+        solved = asg.hungarian_solve(matrix)
         instances.append(matrix)
-        candidates.append(_allocate(matrix, allocator, alloc_rng, mock_pool))
+        references.append(solved)
+        candidates.append(_allocate(matrix, allocator, alloc_rng, mock_pool, solved))
 
-    score = asg.score_batch(instances, candidates, strict_mapping=strict)
+    score = asg.score_batch(instances, candidates, strict_mapping=strict, references=references)
     (output / "instances.json").write_text(asg.dump_instances(instances) + "\n", encoding="utf-8")
     (output / "candidates.json").write_text(asg.dump_candidates(candidates) + "\n", encoding="utf-8")
     _dump_json(output / "score.json", score.to_json_dict())

@@ -15,12 +15,9 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
-
-import requests
 
 
 class GatewayError(Exception):
@@ -120,30 +117,41 @@ class Transport(Protocol):
 
 
 class HttpTransport:
-    """POSTs the canonical JSON body; auth comes from the environment."""
+    """POSTs the canonical JSON body; auth comes from the environment.
 
-    def __init__(self, session: requests.Session | None = None):
-        self.session = session or requests.Session()
+    The HTTP client is imported on the first send, so runs that never
+    reach an endpoint do not pay for it.
+    """
 
     def send(self, binding: ModelBinding, body: bytes) -> Mapping[str, Any]:
         if not binding.auth_env_var or binding.auth_env_var not in os.environ:
             raise AuthMissing(f"environment variable {binding.auth_env_var!r} is not set")
+        import http.client
+        import urllib.error
+        import urllib.request
+
         headers = {
             "Content-Type": "application/json",
             "Authorization": f"Bearer {os.environ[binding.auth_env_var]}",
         }
         try:
-            response = self.session.post(
-                binding.endpoint_url, data=body, headers=headers, timeout=binding.timeout
-            )
-        except requests.RequestException as exc:
+            request = urllib.request.Request(binding.endpoint_url, data=body, headers=headers)
+            try:
+                response = urllib.request.urlopen(request, timeout=binding.timeout)
+            except urllib.error.HTTPError as exc:
+                response = exc  # an error status still carries a body
+            with response:
+                status, raw = response.status, response.read()
+        # refused, reset or timed out; a broken reply; a URL urllib cannot open
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransientTransportError(str(exc)) from exc
-        if response.status_code == 429 or response.status_code >= 500:
-            raise TransientTransportError(f"status {response.status_code}")
-        if response.status_code >= 400:
-            raise GatewayError(f"status {response.status_code}: {response.text[:200]}")
+        if status == 429 or status >= 500:
+            raise TransientTransportError(f"status {status}")
+        if status >= 400:
+            text = raw.decode("utf-8", errors="replace")
+            raise GatewayError(f"status {status}: {text[:200]}")
         try:
-            return response.json()
+            return json.loads(raw)
         except ValueError as exc:
             raise MalformedResponse("response body is not JSON") from exc
 
@@ -166,23 +174,22 @@ class MockEntry:
 class MockTransport:
     """Deterministic transport that replays a script of canned entries.
 
-    Consumption order matches call initiation order (a lock serializes
-    concurrent callers). Every request body is retained for inspection.
+    Consumption order matches call order. Like the other transports and
+    the ledgers, it is used from one thread only. Every request body is
+    retained for inspection.
     """
 
     def __init__(self, script: Iterable[MockEntry]):
         self._script = list(script)
         self._index = 0
-        self._lock = threading.Lock()
         self.requests: list[dict[str, Any]] = []
 
     def send(self, binding: ModelBinding, body: bytes) -> Mapping[str, Any]:
-        with self._lock:
-            self.requests.append(json.loads(body))
-            if self._index >= len(self._script):
-                raise ScriptExhausted(f"mock script exhausted after {self._index} calls")
-            entry = self._script[self._index]
-            self._index += 1
+        self.requests.append(json.loads(body))
+        if self._index >= len(self._script):
+            raise ScriptExhausted(f"mock script exhausted after {self._index} calls")
+        entry = self._script[self._index]
+        self._index += 1
         if entry.fail_transient:
             raise TransientTransportError("scripted transient failure")
         if entry.malformed:
@@ -232,18 +239,16 @@ class ReplayTransport:
     def __init__(self, records: Sequence[Mapping[str, Any]]):
         self._records = list(records)
         self._index = 0
-        self._lock = threading.Lock()
 
     @classmethod
     def from_json(cls, text: str) -> "ReplayTransport":
         return cls(json.loads(text))
 
     def send(self, binding: ModelBinding, body: bytes) -> Mapping[str, Any]:
-        with self._lock:
-            if self._index >= len(self._records):
-                raise ScriptExhausted("no recorded exchanges left")
-            record = self._records[self._index]
-            self._index += 1
+        if self._index >= len(self._records):
+            raise ScriptExhausted("no recorded exchanges left")
+        record = self._records[self._index]
+        self._index += 1
         expected = json.dumps(record["request"], sort_keys=True, separators=(",", ":")).encode()
         if expected != body:
             raise GatewayError("request does not match the recorded session")

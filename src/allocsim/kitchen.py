@@ -733,27 +733,3 @@ def order_accounting_ok(state: KitchenState) -> bool:
     return state.introduced_count == (
         len(state.completed_dishes) + state.expired_count + len(state.orders)
     )
-
-
-def action_from_json_dict(payload: Mapping[str, Any]) -> KitchenAction:
-    kind = payload["kind"]
-    if kind == "goto":
-        return Goto(payload["agent"], payload["location"])
-    if kind == "get":
-        return Get(payload["agent"], payload["location"], payload["item"])
-    if kind == "put":
-        return Put(payload["agent"], payload["location"])
-    if kind == "activate":
-        return Activate(payload["agent"], payload["location"])
-    if kind == "noop":
-        return Noop(payload["agent"])
-    raise ValueError(f"unknown action kind {kind!r}")
-
-
-def action_to_json_dict(action: KitchenAction) -> dict[str, Any]:
-    payload: dict[str, Any] = {"kind": action_kind(action), "agent": action.agent}
-    if isinstance(action, (Goto, Get, Put, Activate)):
-        payload["location"] = action.location
-    if isinstance(action, Get):
-        payload["item"] = action.item
-    return payload

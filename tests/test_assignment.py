@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -268,6 +269,32 @@ class TestCostMatrixChecks:
         reference_entry_check(values)
         assert CostMatrix(values).values == values
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param(((0, 2), (3, 4)), id="ints"),
+            pytest.param(((0.5, 2), (3, -0.0)), id="floats"),
+            pytest.param(((True, False), (1, 0)), id="bools"),
+            pytest.param(((np.int64(3), 2**63), (1, 0)), id="numpy-and-big-ints"),
+            # an object-dtype row fails the one-array check, so the entry loop accepts it
+            pytest.param(((1, 2), np.array([3, 4], dtype=object)), id="entry-loop"),
+        ],
+    )
+    def test_as_array_is_read_only_float(self, values):
+        array = CostMatrix(values).as_array()
+        assert array.dtype == np.float64
+        assert np.array_equal(array, np.asarray(values, dtype=float))
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 7.0
+
+    def test_kept_array_stays_out_of_equality_hash_and_repr(self):
+        a = CostMatrix(((0, 2), (3, 4)))
+        b = CostMatrix(((0, 2), (3, 4)))
+        assert a.as_array() is not b.as_array()
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "CostMatrix(values=((0, 2), (3, 4)))"
+
 
 class TestValidate:
     def test_duplicate_agent_also_leaves_a_slot_unserved(self):
@@ -361,6 +388,29 @@ class TestScoreBatch:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             score_batch([generate_instance(2, 0, 0, 9)], [])
+        m = generate_instance(2, 0, 0, 9)
+        with pytest.raises(ValueError, match="references"):
+            score_batch([m], [Candidate((0, 1))], references=[])
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_given_references_score_as_solved_ones(self, strict):
+        # ties make non-canonical optima, which only strict scoring rejects
+        instances = [generate_instance(4, seed=s, lo=0, hi=2) for s in range(12)]
+        rng = np.random.default_rng(3)
+        candidates = []
+        for i, m in enumerate(instances):
+            if i % 3 == 0:
+                candidates.append(Candidate((0, 0, 1, 2)))  # invalid
+            elif i % 3 == 1:
+                perm = tuple(int(x) for x in rng.permutation(4))
+                candidates.append(Candidate(perm, m.cost_of(perm)))
+            else:
+                solved = brute_force_solve(m)
+                candidates.append(Candidate(solved.mapping, solved.total_cost))
+        references = [hungarian_solve(m) for m in instances]
+        given = score_batch(instances, candidates, strict_mapping=strict, references=references)
+        assert given == score_batch(instances, candidates, strict_mapping=strict)
+        assert 0 < given.accuracy < given.validity_rate < 1
 
     def test_accuracy_never_exceeds_validity_on_random_batches(self):
         rng = np.random.default_rng(7)
@@ -409,6 +459,40 @@ class TestParsingAndSerialization:
         text = dump_instances(instances)
         assert load_instances(text) == instances
         assert dump_instances(load_instances(text)) == text
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param([[[0, 12], [3, 4]], [[1, 0, 2], [2, 2, 2], [9, 99, 1234567]]], id="ints"),
+            pytest.param([[[0.5, 1e-7], [3.0, 1.5e300]], [[0.1]]], id="floats"),
+            pytest.param([[[0, 1.5], [3, 4]]], id="int-and-float"),
+            pytest.param([[[0, 1], [2, 3]], [[0.5]]], id="int-and-float-matrices"),
+            pytest.param([[[True, 1], [3, 4]]], id="bool"),
+            pytest.param([[[False, True], [True, False]]], id="bools-only"),
+            pytest.param([[[7]]], id="one-by-one"),
+            pytest.param([], id="empty"),
+        ],
+    )
+    def test_instances_text_is_json_dumps(self, rows):
+        instances = [CostMatrix.from_rows(r) for r in rows]
+        expected = json.dumps([m.to_json_dict() for m in instances], indent=2, sort_keys=True)
+        assert dump_instances(instances) == expected
+        assert dump_instances(iter(instances)) == expected
+        assert load_instances(expected) == instances
+
+    def test_numpy_scalar_entries_are_not_json(self):
+        with pytest.raises(TypeError):
+            dump_instances([CostMatrix.from_rows([[np.int64(2), 1], [3, 4]])])
+
+    def test_instances_text_on_random_matrices(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            shape = (int(rng.integers(1, 6)),) * 2
+            ints = [generate_instance(shape[0], int(rng.integers(1000)), 0, int(rng.integers(1, 10**6)))]
+            floats = [CostMatrix.from_rows((rng.random(shape) * 10.0 ** rng.integers(-5, 9)).tolist())]
+            for instances in (ints, floats, ints + floats):
+                expected = json.dumps([m.to_json_dict() for m in instances], indent=2, sort_keys=True)
+                assert dump_instances(instances) == expected
 
     def test_candidates_round_trip(self):
         candidates = [

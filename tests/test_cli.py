@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from allocsim import assignment as asg
 from allocsim.assignment import (
     brute_force_solve,
     generate_instance,
@@ -87,6 +88,22 @@ class TestAssignEval:
         for name in ("instances.json", "candidates.json"):
             raw = (out / name).read_text(encoding="utf-8")
             assert json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n" == raw
+
+    def test_one_solve_per_instance(self, tmp_path, monkeypatch):
+        calls = []
+        solve = asg.hungarian_solve
+
+        def counted(matrix):
+            calls.append(matrix)
+            return solve(matrix)
+
+        monkeypatch.setattr(asg, "hungarian_solve", counted)
+        out = tmp_path / "run"
+        code = main(["assign-eval", "--seed", "5", "--instances", "3",
+                     "--allocator", "hungarian", "--output", str(out)])
+        assert code == 0
+        assert calls == load_instances((out / "instances.json").read_text())
+        assert read_json(out / "score.json")["accuracy"] == 1.0
 
     def test_config_error_exit_code(self, tmp_path):
         code = main(["assign-eval", "--seed", "1", "--instances", "0",

