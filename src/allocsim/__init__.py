@@ -2,8 +2,6 @@
 
 Subpackages by concern:
 
-* :mod:`allocsim.allocation` -- general utility-maximizing allocation of
-  agents to subtasks under a time budget;
 * :mod:`allocsim.assignment` -- square assignment problems, optimal
   solvers, and validity/accuracy scoring of candidate assignments;
 * :mod:`allocsim.kitchen` / :mod:`allocsim.levels` -- the deterministic
@@ -46,7 +44,6 @@ from .coordination import (
     Plan,
     PolicyQuery,
     PolicyResponse,
-    RawDecision,
     parse_action,
     planner_replan,
     run_episode,

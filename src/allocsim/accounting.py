@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import warnings
 from dataclasses import dataclass
 from decimal import Decimal
@@ -68,29 +67,6 @@ class PriceTable:
                 model: ModelPrice(_to_fraction(inp), _to_fraction(out))
                 for model, (inp, out) in entries.items()
             }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PriceTable":
-        payload = json.loads(text)
-        return cls.from_entries(
-            {
-                model: (spec["input_usd_per_mtok"], spec["output_usd_per_mtok"])
-                for model, spec in payload.items()
-            }
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                model: {
-                    "input_usd_per_mtok": float(price.input_usd_per_mtok),
-                    "output_usd_per_mtok": float(price.output_usd_per_mtok),
-                }
-                for model, price in sorted(self.prices.items())
-            },
-            indent=2,
-            sort_keys=True,
         )
 
 

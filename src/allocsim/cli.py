@@ -9,7 +9,8 @@ Subcommands:
   reports;
 * ``capability-sweep`` -- paired on-the-fly vs informed planner runs over
   a worker roster, sharing seeds;
-* ``replay`` -- re-execute a trace file and verify it hashes identically.
+* ``replay`` -- re-execute a trace file and verify that every step's
+  actions, results, events and observation hash match the recording.
 
 Runs are configured by a JSON file (``--config``) with per-flag keys;
 explicit flags win over the file. All randomness derives from the single
@@ -17,14 +18,16 @@ explicit flags win over the file. All randomness derives from the single
 
 Exit codes: 0 on success, 1 when ``replay`` finds a mismatch, 2 on a
 configuration error (bad flag value, config file, binding spec, mock
-script, mock file, level file or trace line), reported as one ``error:``
-line on stderr.
+script, mock file, level file or trace line; a ``kind: model`` binding
+without an endpoint or with its auth variable unset), reported as one
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -166,6 +169,12 @@ def _policy_from_spec(role: str, spec: Any, seed: int = 0, label: str = "") -> A
         )
     except ValueError as exc:  # a negative max_retries
         raise ConfigError(f"{where}: {exc}")
+    if kind == "model":
+        # caught here, these would fail every call of the episode
+        if not binding.endpoint_url:
+            raise ConfigError(f"{where}: setting 'endpoint_url' is empty")
+        if not binding.auth_env_var or binding.auth_env_var not in os.environ:
+            raise ConfigError(f"{where}: auth environment variable {binding.auth_env_var!r} is not set")
     transport = None
     if kind == "mock":
         path = Path(_require(spec, "script", str, where))
@@ -416,24 +425,28 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
     mismatches = 0
     for record in lines[1:]:
-        texts = record["actions"]
+        texts = record.get("actions", {})
         actions = {}
         for agent in roster:
-            parsed = parse_action(texts.get(agent, ""), roster, location_ids).parsed
+            parsed = parse_action(texts.get(agent, ""), roster, location_ids)
             actions[agent] = parsed if parsed is not None and parsed.agent == agent else Noop(agent)
-        # traces hold canonical action text, so any other text is a mismatch
-        readable = texts == {agent: action.to_text() for agent, action in actions.items()}
         try:
             outcome = kitchen_step(state, actions)
         except EpisodeOver:
-            print(f"replay: step {record['step']} exceeds the episode length")
+            print(f"replay: step {record.get('step')} exceeds the episode length")
             return 1
         state = outcome.next_state
-        got_events = [e.to_json_dict() for e in outcome.events]
-        got_hash = observation_hash(state)
-        if not readable or got_events != record["events"] or got_hash != record["observation_hash"]:
+        # traces hold canonical action text, so any other text is a mismatch
+        replayed = {
+            "actions": {agent: action.to_text() for agent, action in actions.items()},
+            "results": {agent: outcome.per_agent_result[agent].to_json_dict() for agent in roster},
+            "events": [e.to_json_dict() for e in outcome.events],
+            "observation_hash": observation_hash(state),
+        }
+        diverged = next((key for key, value in replayed.items() if record.get(key) != value), None)
+        if diverged is not None:
             mismatches += 1
-            print(f"replay: mismatch at step {record['step']}")
+            print(f"replay: mismatch at step {record.get('step')}: {diverged}")
     if mismatches:
         print(f"replay: FAILED with {mismatches} mismatching steps")
         return 1

@@ -13,16 +13,17 @@ Three ways to drive the kitchen:
 
 Policies answer in free text. :func:`parse_action` extracts the last
 grammar match (``goto/get/put/activate/noop``) and validates ids;
-anything unparseable, any transport failure, and any action naming the
+anything unparseable, any gateway failure, and any action naming the
 wrong agent degrades to a logged noop for that step -- metrics record
-the failure rather than silently repairing it.
+the failure rather than silently repairing it. A planner that fails the
+same way keeps its prior plan and counts a replan failure.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping, Protocol, Sequence
 
@@ -34,7 +35,7 @@ from .accounting import (
     PriceTable,
     efficiency,
 )
-from .gateway import MalformedResponse, RetriesExhausted
+from .gateway import GatewayError
 from .kitchen import (
     Activate,
     Get,
@@ -76,7 +77,6 @@ class Directive:
 @dataclass(frozen=True)
 class Plan:
     created_at: int
-    trigger_events: tuple[KitchenEvent, ...]
     directives: Mapping[str, tuple[Directive, ...]]
 
     def for_agent(self, agent_id: str) -> tuple[Directive, ...]:
@@ -104,16 +104,6 @@ class PolicyResponse:
     text: str
     tokens_in: int | None = None
     tokens_out: int | None = None
-
-
-@dataclass(frozen=True)
-class RawDecision:
-    raw_text: str
-    parsed: KitchenAction | None
-
-    @property
-    def parse_ok(self) -> bool:
-        return self.parsed is not None
 
 
 class Policy(Protocol):
@@ -149,8 +139,6 @@ def _canonical(value: str, known: Mapping[str, str]) -> str | None:
 def _build_action(
     verb: str, args: list[str], agents: Mapping[str, str], locations: Mapping[str, str]
 ) -> KitchenAction | None:
-    if not args:
-        return None
     agent = _canonical(args[0], agents)
     if agent is None:
         return None
@@ -177,40 +165,42 @@ def _build_action(
 
 def parse_action(
     raw: str, roster: Sequence[str], locations: Sequence[str]
-) -> RawDecision:
+) -> KitchenAction | None:
     """Parse the last action-grammar match out of free text.
 
     Verbs are case-insensitive and surrounding prose is ignored. Unknown
-    agents or locations, wrong arity, or no match at all yield
-    ``parse_ok=False`` -- parsing failures are data, not errors.
+    agents or locations, wrong arity, or no match at all yield ``None``
+    -- parsing failures are data, not errors.
     """
     matches = _ACTION_RE.findall(raw)
     if not matches:
-        return RawDecision(raw, None)
+        return None
     verb, arg_text = matches[-1]
-    args = [a for a in (part.strip() for part in arg_text.split(","))]
+    args = [part.strip() for part in arg_text.split(",")]
     agents = {a.lower(): a for a in roster}
     locs = {l.lower(): l for l in locations}
-    return RawDecision(raw, _build_action(verb.lower(), args, agents, locs))
+    return _build_action(verb.lower(), args, agents, locs)
 
 
 def parse_joint_actions(
     raw: str, roster: Sequence[str], locations: Sequence[str]
-) -> dict[str, RawDecision]:
-    """Per-agent decisions from a joint response; last match per agent wins."""
+) -> dict[str, KitchenAction | None]:
+    """Per-agent actions from a joint response; last match per agent wins.
+
+    An agent whose last statement was malformed maps to ``None``.
+    """
     agents = {a.lower(): a for a in roster}
     locs = {l.lower(): l for l in locations}
-    decisions: dict[str, RawDecision] = {}
+    decisions: dict[str, KitchenAction | None] = {}
     for verb, arg_text in _ACTION_RE.findall(raw):
         args = [part.strip() for part in arg_text.split(",")]
         action = _build_action(verb.lower(), args, agents, locs)
         if action is not None:
-            decisions[action.agent] = RawDecision(raw, action)
-        elif args:
+            decisions[action.agent] = action
+        else:
             agent = _canonical(args[0], agents)
             if agent is not None:
-                # the last statement about this agent was malformed
-                decisions[agent] = RawDecision(raw, None)
+                decisions[agent] = None
     return decisions
 
 
@@ -225,16 +215,12 @@ def format_event(event: KitchenEvent) -> str:
 class ReplanOutcome:
     plan: Plan
     prompt: str
-    response: PolicyResponse
+    response: PolicyResponse | None
     failed: bool
 
 
-def _idle_plan(step_index: int, events: Sequence[KitchenEvent], roster: Sequence[str]) -> Plan:
-    return Plan(
-        created_at=step_index,
-        trigger_events=tuple(events),
-        directives={a: (Directive.idle(),) for a in roster},
-    )
+def _idle_plan(step_index: int, roster: Sequence[str]) -> Plan:
+    return Plan(created_at=step_index, directives={a: (Directive.idle(),) for a in roster})
 
 
 def planner_replan(
@@ -248,9 +234,10 @@ def planner_replan(
 ) -> ReplanOutcome:
     """Build the planner prompt, invoke the backend, handle bad output.
 
-    When the backend cannot produce a plan (unparseable model output) the
-    prior plan stays in force and the outcome is marked failed; at step 0
-    with no prior, an all-idle plan is issued instead.
+    When the backend cannot produce a plan (unparseable model output, or a
+    gateway failure, which leaves no response to bill) the prior plan stays
+    in force and the outcome is marked failed; at step 0 with no prior, an
+    all-idle plan is issued instead.
     """
     prompt = prompts.planner_prompt(
         observation,
@@ -259,9 +246,12 @@ def planner_replan(
         list(roster),
         capability_block,
     )
-    plan, response = backend.plan(prompt, state, roster, prior, events)
+    try:
+        plan, response = backend.plan(prompt, state, roster, prior, events)
+    except GatewayError:
+        plan, response = None, None
     if plan is None:
-        fallback = prior if prior is not None else _idle_plan(state.step, events, roster)
+        fallback = prior if prior is not None else _idle_plan(state.step, roster)
         return ReplanOutcome(fallback, prompt, response, failed=True)
     return ReplanOutcome(plan, prompt, response, failed=False)
 
@@ -293,7 +283,6 @@ class EpisodeReport:
     policy_calls: dict[str, int]
     trace: list[dict[str, Any]]
     final_observation_hash: str
-    final_state: KitchenState = field(repr=False, default=None)  # type: ignore[assignment]
 
     def efficiency_report(self) -> EfficiencyReport:
         return efficiency(self.completed_orders, self.ledger, self.action_counts)
@@ -322,15 +311,12 @@ class EpisodeReport:
         }
 
 
-_TRANSPORT_FAILURES = (RetriesExhausted, MalformedResponse)
-
-
 def _call_policy(
     policy: Policy, query: PolicyQuery, state: KitchenState
 ) -> tuple[PolicyResponse | None, str | None]:
     try:
         return policy.respond(query, state), None
-    except _TRANSPORT_FAILURES as exc:
+    except GatewayError as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 
@@ -349,7 +335,7 @@ def run_episode(
 
     Policy bindings must match the mode: Individual takes one worker per
     agent, Orchestrator one central policy, Planner a planner backend
-    plus one worker per agent. Transport failures and unparseable
+    plus one worker per agent. Gateway failures and unparseable
     responses degrade to logged noops; they never abort the episode.
     """
     roster = state.agent_ids()
@@ -398,7 +384,8 @@ def run_episode(
         planner_invocations += 1
         policy_calls["planner"] += 1
         planner_prompts.append(outcome.prompt)
-        record_billing(outcome.response, planner.model_id, "planner", state.step)
+        if outcome.response is not None:
+            record_billing(outcome.response, planner.model_id, "planner", state.step)
         if outcome.failed:
             replan_failures += 1
         plan = outcome.plan
@@ -431,12 +418,12 @@ def run_episode(
                 record_billing(response, central.model_id, "orchestrator", state.step)
                 decisions = parse_joint_actions(response.text, roster, location_ids)
                 for agent_id in roster:
-                    decision = decisions.get(agent_id)
-                    if decision is None or decision.parsed is None:
+                    action = decisions.get(agent_id)
+                    if action is None:
                         actions[agent_id] = Noop(agent_id)
                         pre_failed[agent_id] = "unparseable joint action"
                     else:
-                        actions[agent_id] = decision.parsed
+                        actions[agent_id] = action
                         pre_failed[agent_id] = None
         else:
             assert workers is not None
@@ -458,15 +445,15 @@ def run_episode(
                     pre_failed[agent_id] = failure
                     continue
                 record_billing(response, policy.model_id, f"worker:{agent_id}", state.step)
-                decision = parse_action(response.text, roster, location_ids)
-                if decision.parsed is None:
+                action = parse_action(response.text, roster, location_ids)
+                if action is None:
                     actions[agent_id] = Noop(agent_id)
                     pre_failed[agent_id] = "unparseable action"
-                elif decision.parsed.agent != agent_id:
+                elif action.agent != agent_id:
                     actions[agent_id] = Noop(agent_id)
                     pre_failed[agent_id] = "action names another agent"
                 else:
-                    actions[agent_id] = decision.parsed
+                    actions[agent_id] = action
                     pre_failed[agent_id] = None
 
         outcome = kitchen_step(state, actions)
@@ -513,5 +500,4 @@ def run_episode(
         policy_calls=dict(policy_calls),
         trace=trace,
         final_observation_hash=observation_hash(state),
-        final_state=state,
     )

@@ -7,8 +7,7 @@ are normalized at the transport edge). Token counts are never estimated
 client-side.
 
 Request bodies are serialized canonically (sorted keys, fixed
-separators), so identical inputs produce identical bytes -- which is what
-makes recorded sessions replayable.
+separators), so identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -213,46 +212,6 @@ def install_mock(script: Iterable[MockEntry | Mapping[str, Any]]) -> MockTranspo
         else:
             entries.append(MockEntry(**item))
     return MockTransport(entries)
-
-
-class RecordingTransport:
-    """Wraps a transport and records request/response pairs for replay."""
-
-    def __init__(self, inner: Transport):
-        self.inner = inner
-        self.records: list[dict[str, Any]] = []
-
-    def send(self, binding: ModelBinding, body: bytes) -> Mapping[str, Any]:
-        response = self.inner.send(binding, body)
-        self.records.append(
-            {"request": json.loads(body), "response": dict(response)}
-        )
-        return response
-
-    def to_json(self) -> str:
-        return json.dumps(self.records, indent=2, sort_keys=True)
-
-
-class ReplayTransport:
-    """Replays a recorded session; requests must match byte-for-byte."""
-
-    def __init__(self, records: Sequence[Mapping[str, Any]]):
-        self._records = list(records)
-        self._index = 0
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReplayTransport":
-        return cls(json.loads(text))
-
-    def send(self, binding: ModelBinding, body: bytes) -> Mapping[str, Any]:
-        if self._index >= len(self._records):
-            raise ScriptExhausted("no recorded exchanges left")
-        record = self._records[self._index]
-        self._index += 1
-        expected = json.dumps(record["request"], sort_keys=True, separators=(",", ":")).encode()
-        if expected != body:
-            raise GatewayError("request does not match the recorded session")
-        return record["response"]
 
 
 def complete(

@@ -263,7 +263,6 @@ class LocationState:
     kind: LocationKind
     tool_kind: str | None = None
     contents: Counter = field(default_factory=Counter)
-    occupied_by: str | None = None
     processing: Processing | None = None
 
     @property
@@ -542,7 +541,6 @@ def _apply_action(state: KitchenState, action: KitchenAction) -> list[KitchenEve
         step = _match_recipe_step(state.config, loc.tool_kind or "", loc.contents)
         assert step is not None
         loc.processing = Processing(step.cook_steps, step.output)
-        loc.occupied_by = action.agent
         return events
     raise TypeError(f"unknown action {action!r}")  # pragma: no cover
 
@@ -599,7 +597,6 @@ def step(state: KitchenState, joint: Mapping[str, KitchenAction]) -> StepOutcome
             if loc.processing.remaining_steps == 0:
                 loc.contents = Counter({loc.processing.output_item: 1})
                 loc.processing = None
-                loc.occupied_by = None
 
     still_live: list[DishOrder] = []
     for order in nxt.orders:

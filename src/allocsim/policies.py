@@ -398,11 +398,7 @@ class ScriptedPlanner:
         for agent_id in agents:
             if not directives[agent_id]:
                 directives[agent_id].append(Directive.idle())
-        plan = Plan(
-            created_at=state.step,
-            trigger_events=tuple(events),
-            directives={a: tuple(ds) for a, ds in directives.items()},
-        )
+        plan = Plan(created_at=state.step, directives={a: tuple(ds) for a, ds in directives.items()})
         return plan, PolicyResponse(text=plan.to_text())
 
 
@@ -536,9 +532,4 @@ class GatewayPlanner(_GatewayPolicy):
         directives = parse_plan_text(response.text, roster)
         if directives is None:
             return None, response
-        plan = Plan(
-            created_at=state.step,
-            trigger_events=tuple(events),
-            directives=directives,
-        )
-        return plan, response
+        return Plan(created_at=state.step, directives=directives), response

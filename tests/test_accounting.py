@@ -27,11 +27,6 @@ class TestPrices:
         assert table.prices["gpt-4o"].input_usd_per_mtok == Fraction(5, 2)
         assert table.prices["gpt-4o-mini"].output_usd_per_mtok == Fraction(3, 5)
 
-    def test_json_round_trip(self):
-        table = default_price_table()
-        again = PriceTable.from_json(table.to_json())
-        assert again.prices == table.prices
-
     def test_nonpositive_prices_rejected(self):
         with pytest.raises(ValueError):
             PriceTable.from_entries({"m": ("0", "1")})

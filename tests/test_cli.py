@@ -196,27 +196,30 @@ class TestReplay:
               "--agents", "2", "--mode", "planner", "--output", str(out)])
         assert main(["replay", "--trace", str(out / "trace.jsonl")]) == 0
 
-    def test_replay_detects_tampering(self, tmp_path):
-        out = tmp_path / "kr"
-        main(["kitchen-run", "--seed", "5", "--level", "level_1",
-              "--agents", "1", "--mode", "individual", "--output", str(out)])
-        trace = out / "trace.jsonl"
-        lines = trace.read_text(encoding="utf-8").splitlines()
-        record = json.loads(lines[10])
-        record["observation_hash"] = "0" * 64
-        lines[10] = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert main(["replay", "--trace", str(trace)]) == 1
+    def test_replay_detects_tampering(self, tmp_path, capsys):
+        trace = tmp_path / "kr" / "trace.jsonl"
 
+        def replay_tampered(line, mutate):
+            main(["kitchen-run", "--seed", "5", "--level", "level_1",
+                  "--agents", "1", "--mode", "individual", "--output", str(trace.parent)])
+            lines = trace.read_text(encoding="utf-8").splitlines()
+            record = json.loads(lines[line])
+            mutate(record)
+            lines[line] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+            trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            capsys.readouterr()
+            assert main(["replay", "--trace", str(trace)]) == 1
+            return capsys.readouterr().out
+
+        failed_one = "replay: FAILED with 1 mismatching steps\n"
+        out = replay_tampered(10, lambda r: r.update(observation_hash="0" * 64))
+        assert out == "replay: mismatch at step 9: observation_hash\n" + failed_one
         # an action text no parser can read is a mismatch, not a crash
-        main(["kitchen-run", "--seed", "5", "--level", "level_1",
-              "--agents", "1", "--mode", "individual", "--output", str(out)])
-        lines = trace.read_text(encoding="utf-8").splitlines()
-        record = json.loads(lines[3])
-        record["actions"]["agent0"] = "teleport(agent0"
-        lines[3] = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert main(["replay", "--trace", str(trace)]) == 1
+        out = replay_tampered(3, lambda r: r["actions"].update(agent0="teleport(agent0"))
+        assert out.startswith("replay: mismatch at step 2: actions\n")
+        # a flipped per-agent result, with everything else intact
+        out = replay_tampered(3, lambda r: r["results"]["agent0"].update(ok=not r["results"]["agent0"]["ok"]))
+        assert out == "replay: mismatch at step 2: results\n" + failed_one
 
     def test_replay_missing_file(self, tmp_path):
         assert main(["replay", "--trace", str(tmp_path / "nope.jsonl")]) == 2
@@ -354,3 +357,24 @@ def test_bad_input_is_a_config_error(build_argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("role", ["workers", "orchestrator", "planner"])
+@pytest.mark.parametrize("spec", [
+    pytest.param({"auth_env_var": "ALLOCSIM_TEST_KEY"}, id="no-endpoint"),
+    pytest.param({"endpoint_url": "http://127.0.0.1:9/v1", "auth_env_var": "ALLOCSIM_TEST_UNSET"}, id="auth-unset"),
+    pytest.param({"endpoint_url": "http://127.0.0.1:9/v1"}, id="no-auth-variable"),
+])
+def test_unusable_model_binding_fails_before_step_0(role, spec, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ALLOCSIM_TEST_KEY", "secret")
+    monkeypatch.delenv("ALLOCSIM_TEST_UNSET", raising=False)
+    mode = "individual" if role == "workers" else role
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bindings": {role: {"kind": "model", "model_id": "m", **spec}}}), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["kitchen-run", "--seed", "1", "--level", "level_1", "--agents", "2", "--budget", "3",
+                 "--mode", mode, "--config", str(config), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

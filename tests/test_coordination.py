@@ -15,7 +15,7 @@ from allocsim.coordination import (
     planner_replan,
     run_episode,
 )
-from allocsim.gateway import MockEntry, ModelBinding, install_mock
+from allocsim.gateway import GatewayError, HttpTransport, MockEntry, ModelBinding, install_mock
 from allocsim.kitchen import (
     EventKind,
     Get,
@@ -26,6 +26,8 @@ from allocsim.kitchen import (
 from allocsim.policies import (
     FixedScriptWorker,
     FlakyWorker,
+    GatewayOrchestrator,
+    GatewayPlanner,
     GatewayWorker,
     ScriptedOrchestrator,
     ScriptedPlanner,
@@ -38,57 +40,90 @@ from conftest import scripted_individual_episode, scripted_planner_episode
 ROSTER = ["agent0", "agent1"]
 LOCATIONS = ["storage0", "servingtable0", "blender0", "blender1"]
 
+# text in the shape of the action grammar: valid, misspelt and unknown ids mixed
+ACTION_TEXT = st.from_regex(
+    r"(?:[ a-z.:]{0,6}(?:goto|get|put|activate|noop|GOTO|Noop|fly) ?\("
+    r"(?:agent[0-2]|AGENT1|)(?:, ?(?:storage0|Blender1|servingtable0|salmon|mars|)){0,3}\)\n?){1,4}",
+    fullmatch=True,
+)
+PLAN_TEXT = st.from_regex(
+    r"(?:(?:agent[0-2]|Agent1|agentX|) ?[:\-]? ?[a-z0-9 ();:-]{0,16}\n){1,4}", fullmatch=True
+)
+
+
+def assert_filed_under_own_agent(decisions):
+    assert set(decisions) <= set(ROSTER)
+    for agent, action in decisions.items():
+        assert action is None or action.agent == agent
+
 
 class TestParseAction:
     def test_plain_goto(self):
-        decision = parse_action("goto(agent0, blender0)", ROSTER, LOCATIONS)
-        assert decision.parsed == Goto("agent0", "blender0")
-        assert decision.parse_ok
+        assert parse_action("goto(agent0, blender0)", ROSTER, LOCATIONS) == Goto("agent0", "blender0")
 
     def test_prose_takes_last_match(self):
-        decision = parse_action(
+        action = parse_action(
             "I think agent1 should get(agent1, storage0, salmon)", ROSTER, LOCATIONS
         )
-        assert decision.parsed == Get("agent1", "storage0", "salmon")
+        assert action == Get("agent1", "storage0", "salmon")
 
     def test_unknown_verb_fails(self):
-        decision = parse_action("fly(agent0, moon)", ROSTER, LOCATIONS)
-        assert not decision.parse_ok
+        assert parse_action("fly(agent0, moon)", ROSTER, LOCATIONS) is None
 
     def test_unknown_ids_fail(self):
-        assert not parse_action("goto(agent9, blender0)", ROSTER, LOCATIONS).parse_ok
-        assert not parse_action("goto(agent0, nowhere)", ROSTER, LOCATIONS).parse_ok
+        assert parse_action("goto(agent9, blender0)", ROSTER, LOCATIONS) is None
+        assert parse_action("goto(agent0, nowhere)", ROSTER, LOCATIONS) is None
 
     def test_case_insensitive_grammar(self):
-        decision = parse_action("GOTO(Agent0, Blender0)", ROSTER, LOCATIONS)
-        assert decision.parsed == Goto("agent0", "blender0")
+        assert parse_action("GOTO(Agent0, Blender0)", ROSTER, LOCATIONS) == Goto("agent0", "blender0")
 
     def test_noop_tolerates_optional_second_argument(self):
-        assert parse_action("noop(agent0)", ROSTER, LOCATIONS).parsed == Noop("agent0")
-        assert parse_action("noop(agent0, blender0)", ROSTER, LOCATIONS).parsed == Noop("agent0")
+        assert parse_action("noop(agent0)", ROSTER, LOCATIONS) == Noop("agent0")
+        assert parse_action("noop(agent0, blender0)", ROSTER, LOCATIONS) == Noop("agent0")
 
     def test_wrong_arity_fails(self):
-        assert not parse_action("get(agent0, storage0)", ROSTER, LOCATIONS).parse_ok
-        assert not parse_action("goto(agent0)", ROSTER, LOCATIONS).parse_ok
+        assert parse_action("get(agent0, storage0)", ROSTER, LOCATIONS) is None
+        assert parse_action("goto(agent0)", ROSTER, LOCATIONS) is None
 
     def test_last_match_wins_even_if_invalid(self):
         text = "goto(agent0, blender0) but really goto(agent0, mars)"
-        assert not parse_action(text, ROSTER, LOCATIONS).parse_ok
+        assert parse_action(text, ROSTER, LOCATIONS) is None
 
     @given(st.text(max_size=300))
     @settings(max_examples=60, deadline=None)
     def test_never_raises(self, text):
         parse_action(text, ROSTER, LOCATIONS)
 
+    @given(ACTION_TEXT)
+    @settings(max_examples=60, deadline=None)
+    def test_grammar_shaped_text_never_raises(self, text):
+        action = parse_action(text, ROSTER, LOCATIONS)
+        assert action is None or action.agent in ROSTER
+
+    @given(st.one_of(st.text(max_size=300), ACTION_TEXT))
+    @settings(max_examples=60, deadline=None)
+    def test_joint_parsing_never_raises(self, text):
+        assert_filed_under_own_agent(parse_joint_actions(text, ROSTER, LOCATIONS))
+
+    @given(st.one_of(st.text(max_size=300), PLAN_TEXT))
+    @settings(max_examples=60, deadline=None)
+    def test_plan_parsing_never_raises(self, text):
+        directives = parse_plan_text(text, ROSTER)
+        assert directives is None or set(directives) <= set(ROSTER)
+
     def test_joint_parsing_one_line_per_agent(self):
         text = "goto(agent0, storage0)\nnoop(agent1)\n"
         decisions = parse_joint_actions(text, ROSTER, LOCATIONS)
-        assert decisions["agent0"].parsed == Goto("agent0", "storage0")
-        assert decisions["agent1"].parsed == Noop("agent1")
+        assert decisions["agent0"] == Goto("agent0", "storage0")
+        assert decisions["agent1"] == Noop("agent1")
 
     def test_joint_parsing_missing_agent(self):
         decisions = parse_joint_actions("goto(agent0, storage0)", ROSTER, LOCATIONS)
         assert "agent1" not in decisions
+
+    def test_joint_parsing_last_statement_per_agent_wins(self):
+        text = "goto(agent0, storage0)\nnoop(agent1)\ngoto(agent0, mars)\n"
+        assert parse_joint_actions(text, ROSTER, LOCATIONS) == {"agent0": None, "agent1": Noop("agent1")}
 
 
 class TestPlannerReplan:
@@ -136,7 +171,7 @@ class TestPlannerReplan:
                 return None, PolicyResponse(text="nonsense")
 
         state = load_level(level_1, 1, seed=0)
-        prior = Plan(0, (), {"agent0": (Directive(text="keep me"),)})
+        prior = Plan(0, {"agent0": (Directive(text="keep me"),)})
         outcome = planner_replan(
             "obs", (), prior, ["agent0"], BrokenPlanner(), state
         )
@@ -331,3 +366,66 @@ class TestScriptedPolicies:
         plan, _ = ScriptedPlanner().plan("p", state, state.agent_ids(), None, ())
         text = plan.to_text()
         assert "agent0:" in text and "agent1:" in text
+
+
+class _StatusTransport:
+    """An endpoint that answers every request with a client error."""
+
+    def send(self, binding, body):
+        raise GatewayError("status 404: no such model")
+
+
+def _failing_transport(failure, monkeypatch):
+    """A transport on which every completion raises ``failure``."""
+    if failure == "ScriptExhausted":
+        return install_mock([])
+    if failure == "RetriesExhausted":
+        return install_mock([MockEntry(fail_transient=True)] * 100)
+    if failure == "MalformedResponse":
+        return install_mock([MockEntry(malformed=True)] * 100)
+    if failure == "AuthMissing":
+        monkeypatch.delenv("ALLOCSIM_TEST_UNSET", raising=False)
+        return HttpTransport()
+    return _StatusTransport()
+
+
+FAILURES = ["ScriptExhausted", "RetriesExhausted", "MalformedResponse", "AuthMissing", "GatewayError"]
+
+
+class TestGatewayFailureBoundary:
+    """No gateway failure aborts an episode, whichever role's call it hits."""
+
+    BUDGET = 12  # the first order expires at step 9, so the planner replans twice
+
+    def _run(self, role, failure, monkeypatch, level):
+        binding = ModelBinding(
+            model_id="m", endpoint_url="http://127.0.0.1:9/v1",
+            auth_env_var="ALLOCSIM_TEST_UNSET", max_retries=0,
+        )
+        transport = _failing_transport(failure, monkeypatch)
+        state = load_level(level, 2, seed=0)
+        roster = state.agent_ids()
+        if role == "worker":
+            workers = {a: GatewayWorker(binding, transport) for a in roster}
+            return run_episode(ControllerMode.INDIVIDUAL, state, workers=workers, budget=self.BUDGET)
+        if role == "orchestrator":
+            return run_episode(ControllerMode.ORCHESTRATOR, state,
+                               central=GatewayOrchestrator(binding, transport), budget=self.BUDGET)
+        return run_episode(ControllerMode.PLANNER, state, workers={a: ScriptedWorker() for a in roster},
+                           planner=GatewayPlanner(binding, transport), budget=self.BUDGET)
+
+    @pytest.mark.parametrize("role", ["worker", "orchestrator", "planner"])
+    @pytest.mark.parametrize("failure", FAILURES)
+    def test_failure_is_logged_not_raised(self, role, failure, monkeypatch, level_1):
+        report = self._run(role, failure, monkeypatch, level_1)
+        assert report.steps == self.BUDGET
+        attempted = sum(cell.attempted for cell in report.capability.cells.values())
+        assert attempted == self.BUDGET * 2
+        assert report.ledger.rows == []
+        if role == "planner":
+            assert report.planner_invocations >= 2
+            assert report.replan_failures == report.planner_invocations
+            assert report.fallbacks == []
+        else:
+            assert len(report.fallbacks) == self.BUDGET * 2
+            assert all(f.reason.startswith(f"{failure}: ") for f in report.fallbacks)

@@ -17,8 +17,6 @@ from allocsim.gateway import (
     MalformedResponse,
     MockEntry,
     ModelBinding,
-    RecordingTransport,
-    ReplayTransport,
     RetriesExhausted,
     ScriptExhausted,
     TransientTransportError,
@@ -124,34 +122,6 @@ class TestRequestBodies:
     def test_missing_usage_is_malformed(self):
         with pytest.raises(MalformedResponse):
             normalize_response({"text": "no usage"})
-
-
-class TestRecordingReplay:
-    def test_record_then_replay(self):
-        live = install_mock([{"text": "recorded", "tokens_in": 5, "tokens_out": 6}])
-        recorder = RecordingTransport(live)
-        first = complete(BINDING, MESSAGES, transport=recorder, sleep=no_sleep)
-
-        replayer = ReplayTransport.from_json(recorder.to_json())
-        second = complete(BINDING, MESSAGES, transport=replayer, sleep=no_sleep)
-        assert (first.text, first.tokens_in, first.tokens_out) == (
-            second.text,
-            second.tokens_in,
-            second.tokens_out,
-        )
-
-    def test_replay_rejects_different_request(self):
-        live = install_mock([{"text": "a", "tokens_in": 1, "tokens_out": 1}])
-        recorder = RecordingTransport(live)
-        complete(BINDING, MESSAGES, transport=recorder, sleep=no_sleep)
-        replayer = ReplayTransport.from_json(recorder.to_json())
-        with pytest.raises(Exception):
-            complete(
-                BINDING,
-                [{"role": "user", "content": "different"}],
-                transport=replayer,
-                sleep=no_sleep,
-            )
 
 
 class _Endpoint(BaseHTTPRequestHandler):

@@ -186,7 +186,6 @@ class TestStepSemantics:
         # ascending order: agent0 activates first, agent1's get hits a busy tool
         assert outcome.per_agent_result["agent0"].ok
         assert outcome.per_agent_result["agent1"].reason is FailReason.CONTENTION
-        assert outcome.next_state.locations["blender0"].occupied_by == "agent0"
 
     def test_contention_on_last_item(self):
         payload = get_level("level_1").to_json_dict()
