@@ -9,7 +9,9 @@ contracts:
   optimal matching, shortest paths on that matching for optimal duals,
   then a lexicographically smallest perfect matching of the tight-edge
   subgraph, whose perfect matchings are exactly the optimal assignments
-  (Burkard, Dell'Amico & Martello, *Assignment Problems*, SIAM 2009);
+  (Burkard, Dell'Amico & Martello, *Assignment Problems*, SIAM 2009).
+  That last walk runs on Python-int bitsets of the tight edges, one per
+  task and one per agent;
 * :func:`brute_force_solve` -- exhaustive permutation enumeration, usable
   as an independent oracle for small ``n``.
 
@@ -44,17 +46,23 @@ class CostMatrix:
     """Square matrix of non-negative task-agent costs.
 
     ``values[i][j]`` is the cost of assigning agent ``j`` to task ``i``.
-    Equality, hashing and the repr come from ``values`` alone.
+    Equality, hashing and the repr come from ``values`` alone. ``values``
+    may also be given as a 2-D numpy array: it is checked once, and stored
+    as ``tuple(map(tuple, array.tolist()))``, so the matrix equals
+    ``CostMatrix.from_rows(array.tolist())``.
     """
 
     values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
+        given = self.values
+        if isinstance(given, np.ndarray):
+            object.__setattr__(self, "values", tuple(map(tuple, given.tolist())))
         n = len(self.values)
         if n == 0:
             raise ValueError("cost matrix must be non-empty")
         try:
-            array = np.asarray(self.values)
+            array = np.asarray(given)  # an array comes back as itself
         except (TypeError, ValueError, OverflowError):  # ragged or unconvertible rows
             array = None
         if (
@@ -64,11 +72,15 @@ class CostMatrix:
             and np.isfinite(array).all()
             and (array >= 0).all()
         ):
+            # ``tolist`` of an integer array gives exactly ``int`` entries,
+            # which dump_instances then writes without looking at each one
+            object.__setattr__(self, "_int_entries", array is given and array.dtype.kind in "iu")
             # the checked array is what the solvers read, so a private copy is kept
             array = array.astype(float)
             array.flags.writeable = False
             object.__setattr__(self, "_array", array)
             return
+        object.__setattr__(self, "_int_entries", False)
         object.__setattr__(self, "_array", None)
         # anything else is judged entry by entry, which also names the first
         # bad entry in the error
@@ -254,8 +266,7 @@ def generate_instance(n: int, seed: int, lo: int = 0, hi: int = 99) -> CostMatri
     if lo > hi:
         raise ValueError("need lo <= hi")
     rng = np.random.default_rng(seed)
-    values = rng.integers(lo, hi + 1, size=(n, n))
-    return CostMatrix.from_rows(values.tolist())
+    return CostMatrix(rng.integers(lo, hi + 1, size=(n, n)))
 
 
 def _agent_potentials(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -278,6 +289,13 @@ def _agent_potentials(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return d
 
 
+def _bitsets(tight: np.ndarray) -> list[int]:
+    """Row i of a boolean matrix as a Python int whose bit j is ``tight[i, j]``."""
+    packed = np.packbits(tight, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+
+
 def _lex_min_matching(tight: np.ndarray, cols: np.ndarray) -> list[int]:
     """Lexicographically smallest perfect matching of ``tight``.
 
@@ -285,41 +303,56 @@ def _lex_min_matching(tight: np.ndarray, cols: np.ndarray) -> list[int]:
     cols[i]). Each task in turn takes the smallest agent that leaves a
     perfect matching for the later tasks. That is an agent from which an
     alternating path over later tasks leads back to the task's current
-    agent; a reverse breadth-first search finds all of them at once.
+    agent; a reverse breadth-first search finds it, and stops early once
+    it reaches the smallest agent the task could take. Tight edges are
+    held as Python-int bitsets, one per task and one per agent.
     """
     n = len(cols)
-    cols = cols.copy()
-    row_of = np.empty(n, dtype=np.intp)
-    row_of[cols] = np.arange(n)
-    first_tight = tight.argmax(axis=1)
+    agents_of = _bitsets(tight)  # bit a of agents_of[t]: task t may take agent a
+    tasks_of = _bitsets(tight.T)  # bit t of tasks_of[a]: the same edge, seen from a
+    cols = cols.tolist()
+    row_of = [0] * n
+    for task, agent in enumerate(cols):
+        row_of[agent] = task
+    all_tasks = (1 << n) - 1
+    free = all_tasks  # agents no earlier task has fixed
     for task in range(n):
         current = cols[task]
-        if first_tight[task] == current:
-            continue
-        if not (tight[task, :current] & (row_of[:current] > task)).any():
-            continue  # every tight agent below ``current`` is taken by an earlier task
-        # reached[a]: some later task can give up agent a, and the tasks along
-        # the way shift so that the chain ends at ``current``; nxt[a] is the
-        # agent that a's task moves to
-        reached = np.zeros(n, dtype=bool)
-        reached[current] = True
-        nxt = np.empty(n, dtype=np.intp)
-        frontier = np.array([current])
-        rows = np.arange(task + 1, n)
-        while frontier.size and rows.size:
-            hits = tight[np.ix_(rows, frontier)]
-            hit = hits.any(axis=1)
-            new_agents = cols[rows[hit]]
-            nxt[new_agents] = frontier[hits[hit].argmax(axis=1)]
-            reached[new_agents] = True
-            frontier, rows = new_agents, rows[~hit]
-        path = [int(np.flatnonzero(tight[task] & reached)[0])]
-        while path[-1] != current:
-            path.append(int(nxt[path[-1]]))
-        movers = [task, *row_of[path[:-1]]]
-        cols[movers] = path
-        row_of[path] = movers
-    return [int(a) for a in cols]
+        below = agents_of[task] & free & ((1 << current) - 1)
+        if below:
+            # reached: some later task can give up that agent, and the tasks
+            # along the way shift so that the chain ends at ``current``;
+            # nxt[a] is the agent that a's task moves to
+            goal = (below & -below).bit_length() - 1
+            reached = 1 << current
+            nxt: dict[int, int] = {}
+            unvisited = all_tasks >> (task + 1) << (task + 1)
+            queue = [current]
+            for b in queue:  # the queue grows while it is read
+                hits = tasks_of[b] & unvisited
+                if not hits:
+                    continue
+                unvisited ^= hits
+                while hits:
+                    low = hits & -hits
+                    hits ^= low
+                    a = cols[low.bit_length() - 1]
+                    nxt[a] = b
+                    reached |= 1 << a
+                    queue.append(a)
+                if reached >> goal & 1 or not unvisited:
+                    break
+            found = reached & below
+            if found:
+                agent, mover = (found & -found).bit_length() - 1, task
+                while True:
+                    held_by = row_of[agent]
+                    cols[mover], row_of[agent] = agent, mover
+                    if agent == current:
+                        break
+                    agent, mover = nxt[agent], held_by
+        free ^= 1 << cols[task]
+    return cols
 
 
 def hungarian_solve(matrix: CostMatrix) -> Assignment:
@@ -333,7 +366,10 @@ def hungarian_solve(matrix: CostMatrix) -> Assignment:
     *Assignment Problems*, SIAM 2009). A greedy walk over that subgraph
     fixes each task in turn to the smallest agent that still admits a
     perfect matching of the later tasks, which selects the
-    lexicographically smallest optimal mapping in O(n^3).
+    lexicographically smallest optimal mapping in O(n^3). The walk reads
+    the tight edges as Python-int bitsets (one per task, one per agent),
+    so a task with no free tight agent below its current one costs a few
+    word operations.
     """
     values = matrix.as_array()
     rows, cols = linear_sum_assignment(values)
@@ -537,24 +573,35 @@ def dump_instances(instances: Iterable[CostMatrix]) -> str:
 
     Matrices whose entries are all exactly ``int`` or all exactly ``float``
     are written with string joins, since ``repr`` of such an entry is its
-    JSON text (``CostMatrix`` admits no NaN or infinity). Anything else
-    (bools, numpy scalars, a mix, no matrices) goes through ``json``.
+    JSON text (``CostMatrix`` admits no NaN or infinity). A matrix built
+    from an integer array is known to hold ``int`` entries, so it is
+    written with one ``"%d"`` row format and its entries are not looked
+    at. Anything else (bools, numpy scalars, a mix, no matrices) goes
+    through ``json``.
     """
     instances = list(instances)
     types: set[type] = set()
     for m in instances:
+        if m._int_entries:
+            types.add(int)
+            continue
         for row in m.values:
             types.update(map(type, row))
     if types != {int} and types != {float}:
         return json.dumps([m.to_json_dict() for m in instances], indent=2, sort_keys=True)
     entry_sep = ",\n        "
     rows_sep = "\n      ],\n      [\n        "
-    blocks = [
-        f'  {{\n    "n": {m.n},\n    "values": [\n      [\n        '
-        + rows_sep.join(entry_sep.join(map(repr, row)) for row in m.values)
-        + "\n      ]\n    ]\n  }"
-        for m in instances
-    ]
+    blocks = []
+    for m in instances:
+        if m._int_entries:
+            rows = map(entry_sep.join(["%d"] * m.n).__mod__, m.values)
+        else:
+            rows = (entry_sep.join(map(repr, row)) for row in m.values)
+        blocks.append(
+            f'  {{\n    "n": {m.n},\n    "values": [\n      [\n        '
+            + rows_sep.join(rows)
+            + "\n      ]\n    ]\n  }"
+        )
     return "[\n" + ",\n".join(blocks) + "\n]"
 
 

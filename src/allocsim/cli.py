@@ -417,8 +417,17 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "trace_header":
         raise ConfigError("trace file lacks a header record")
     header = lines[0]
-    level = LevelConfig.from_json_dict(header["level"])
-    state = load_level(level, int(header["agent_count"]), int(header["seed"]))
+    try:
+        level = LevelConfig.from_json_dict(header["level"])
+        state = load_level(level, int(header["agent_count"]), int(header["seed"]))
+    except KeyError as exc:
+        raise ConfigError(f"trace header lacks {exc}")
+    except (TypeError, ValueError) as exc:  # a malformed level, agent count or seed
+        raise ConfigError(f"trace header: {exc}")
+    for number, record in enumerate(lines[1:], start=1):
+        texts = record.get("actions", {}) if isinstance(record, dict) else None
+        if not isinstance(texts, dict) or not all(isinstance(t, str) for t in texts.values()):
+            raise ConfigError(f"trace step record {number} is not an object with an 'actions' object of strings")
 
     roster = state.agent_ids()
     location_ids = sorted(state.locations)
@@ -573,9 +582,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args keeps no state between calls
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -80,6 +80,44 @@ def reference_canonical_solve(matrix: CostMatrix) -> Assignment:
     return Assignment(tuple(mapping), matrix.cost_of(mapping))
 
 
+def reference_lex_min_matching(tight: np.ndarray, cols: np.ndarray) -> list[int]:
+    """The numpy walk that the bitset ``_lex_min_matching`` replaced.
+
+    Same greedy order and reverse breadth-first search, one vectorised
+    step per search level over a boolean matrix.
+    """
+    n = len(cols)
+    cols = cols.copy()
+    row_of = np.empty(n, dtype=np.intp)
+    row_of[cols] = np.arange(n)
+    first_tight = tight.argmax(axis=1)
+    for task in range(n):
+        current = cols[task]
+        if first_tight[task] == current:
+            continue
+        if not (tight[task, :current] & (row_of[:current] > task)).any():
+            continue  # every tight agent below ``current`` is taken by an earlier task
+        reached = np.zeros(n, dtype=bool)
+        reached[current] = True
+        nxt = np.empty(n, dtype=np.intp)
+        frontier = np.array([current])
+        rows = np.arange(task + 1, n)
+        while frontier.size and rows.size:
+            hits = tight[np.ix_(rows, frontier)]
+            hit = hits.any(axis=1)
+            new_agents = cols[rows[hit]]
+            nxt[new_agents] = frontier[hits[hit].argmax(axis=1)]
+            reached[new_agents] = True
+            frontier, rows = new_agents, rows[~hit]
+        path = [int(np.flatnonzero(tight[task] & reached)[0])]
+        while path[-1] != current:
+            path.append(int(nxt[path[-1]]))
+        movers = [task, *row_of[path[:-1]]]
+        cols[movers] = path
+        row_of[path] = movers
+    return [int(a) for a in cols]
+
+
 def reference_entry_check(values) -> None:
     """The per-entry loop that ``CostMatrix.__post_init__`` vectorised."""
     n = len(values)
@@ -185,23 +223,62 @@ class TestSolvers:
             assert result.mapping == base_h.mapping
 
 
-def _tie_heavy_instances():
-    """(label, rows) pairs, n 1..32: integer costs 0..hi and one-decimal floats."""
-    for hi in (0, 1, 3, 99):
-        for n in range(1, 33):
-            yield f"0..{hi}", generate_instance(n, seed=7919 * hi + n, lo=0, hi=hi).values
-    for n in range(1, 33):
+TIE_LABELS = ["0..0", "0..1", "0..3", "0..99", "one-decimal"]
+
+
+def _tie_heavy_rows(label: str, n: int):
+    """An n x n matrix of one tie-heavy kind: integer costs 0..hi or one-decimal floats."""
+    if label == "one-decimal":
         rng = np.random.default_rng(500 + n)
-        yield "one-decimal", (rng.integers(0, 30, size=(n, n)) / 10).tolist()
+        return (rng.integers(0, 30, size=(n, n)) / 10).tolist()
+    hi = int(label[3:])
+    return generate_instance(n, seed=7919 * hi + n, lo=0, hi=hi).values
+
+
+def _tight_subgraph(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tight edges and optimal matching that ``hungarian_solve`` walks."""
+    rows, cols = linear_sum_assignment(values)
+    matched = values[rows, cols]
+    d = assignment._agent_potentials(values, cols)
+    u = matched - d[cols]
+    tight = values - u[:, None] - d[None, :] <= 1e-9 * max(1.0, abs(float(matched.sum())))
+    return tight, cols
+
+
+# the re-solve reference makes up to n^2 LSA calls, about 0.8 s at n=129
+# with few ties, so the cheap tie-heavy kinds go furthest
+CANONICAL_SIZES = {
+    "0..0": (*range(1, 33), 33, 64, 65, 129),
+    "0..1": (*range(1, 33), 33, 64, 65, 129),
+    "0..3": (*range(1, 33), 33, 64, 65, 129),
+    "0..99": (*range(1, 33), 33, 64, 65),
+    "one-decimal": (*range(1, 33), 33, 64, 65),
+}
+# 63-65 and 127-129 straddle the 64-bit words of the bitsets
+WALK_SIZES = (*range(1, 34), 63, 64, 65, 127, 128, 129)
 
 
 class TestCanonicalSolve:
-    @pytest.mark.parametrize("label", ["0..0", "0..1", "0..3", "0..99", "one-decimal"])
+    @pytest.mark.parametrize("label", TIE_LABELS)
     def test_matches_resolve_reference(self, label):
-        for kind, rows in _tie_heavy_instances():
-            if kind == label:
-                m = CostMatrix.from_rows(rows)
-                assert hungarian_solve(m) == reference_canonical_solve(m), (label, m.n)
+        for n in CANONICAL_SIZES[label]:
+            m = CostMatrix.from_rows(_tie_heavy_rows(label, n))
+            assert hungarian_solve(m) == reference_canonical_solve(m), (label, n)
+
+    @pytest.mark.parametrize("label", TIE_LABELS)
+    def test_bitset_walk_matches_numpy_walk(self, label):
+        for n in WALK_SIZES:
+            tight, cols = _tight_subgraph(CostMatrix.from_rows(_tie_heavy_rows(label, n)).as_array())
+            assert assignment._lex_min_matching(tight, cols) == reference_lex_min_matching(tight, cols), (label, n)
+
+    @pytest.mark.parametrize("density", [0.05, 0.3, 0.8])
+    def test_bitset_walk_on_random_graphs_with_a_planted_matching(self, density):
+        rng = np.random.default_rng(int(density * 100))
+        for n in WALK_SIZES:
+            cols = rng.permutation(n)
+            tight = rng.random((n, n)) < density
+            tight[np.arange(n), cols] = True
+            assert assignment._lex_min_matching(tight, cols) == reference_lex_min_matching(tight, cols), n
 
     def test_one_lsa_call_per_solve(self, monkeypatch):
         calls = []
@@ -287,6 +364,45 @@ class TestCostMatrixChecks:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 7.0
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            pytest.param(np.array([[7]]), id="one-by-one"),
+            pytest.param(np.zeros((4, 4), dtype=np.int64), id="all-zero"),
+            pytest.param(np.random.default_rng(1).integers(0, 100, size=(9, 9)), id="int64"),
+            pytest.param(np.array([[3, 0], [1, 2]], dtype=np.int32), id="int32"),
+            pytest.param(np.array([[255, 0], [1, 2]], dtype=np.uint8), id="uint8"),
+        ],
+    )
+    def test_array_built_matrix_is_the_rows_built_one(self, array):
+        array = array.copy()
+        built, rows = CostMatrix(array), CostMatrix.from_rows(array.tolist())
+        assert built == rows and hash(built) == hash(rows) and repr(built) == repr(rows)
+        assert json.dumps(built.to_json_dict()) == json.dumps(rows.to_json_dict())
+        got, expected = built.as_array(), rows.as_array()
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert not got.flags.writeable
+        array[0, 0] = 0 if array[0, 0] else 1  # the matrix keeps nothing of the caller's array
+        assert built == rows and np.array_equal(built.as_array(), expected)
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            pytest.param(np.array([[1, -1], [3, 2]]), id="negative"),
+            pytest.param(np.array([[0.5, 2.0], [-0.5, 1.0]]), id="negative-float"),
+            pytest.param(np.arange(6).reshape(2, 3), id="non-square"),
+            pytest.param(np.zeros((0, 0), dtype=np.int64), id="empty"),
+            pytest.param(np.zeros((0, 3), dtype=np.int64), id="empty-rows"),
+            pytest.param(np.arange(4), id="one-dimensional"),
+        ],
+    )
+    def test_bad_array_raises_as_its_rows_do(self, array):
+        with pytest.raises(Exception) as expected:
+            CostMatrix.from_rows(array.tolist())
+        with pytest.raises(expected.type) as got:
+            CostMatrix(array)
+        assert str(got.value) == str(expected.value)
 
     def test_kept_array_stays_out_of_equality_hash_and_repr(self):
         a = CostMatrix(((0, 2), (3, 4)))
@@ -479,6 +595,19 @@ class TestParsingAndSerialization:
         assert dump_instances(instances) == expected
         assert dump_instances(iter(instances)) == expected
         assert load_instances(expected) == instances
+
+    def test_instances_text_of_array_built_matrices(self):
+        rng = np.random.default_rng(13)
+        arrays = [CostMatrix(np.array([[0]])), CostMatrix(np.zeros((3, 3), dtype=np.int64))]
+        arrays += [generate_instance(n, seed=n, lo=0, hi=hi) for n in (1, 2, 7, 40) for hi in (0, 3, 99, 10**12)]
+        rows = [CostMatrix.from_rows([[0, 12], [3, 4]])]
+        floats = [CostMatrix(rng.random((3, 3))), CostMatrix.from_rows([[0.5, 1e-7], [3.0, 1.5e300]])]
+        bools = [CostMatrix.from_rows([[True, 1], [3, 4]]), CostMatrix(np.eye(2, dtype=bool))]
+        batches = [[arrays[0]], arrays, arrays + rows, rows + arrays + floats, floats + arrays, arrays + bools, bools[1:]]
+        for instances in batches:
+            expected = json.dumps([m.to_json_dict() for m in instances], indent=2, sort_keys=True)
+            assert dump_instances(instances) == expected
+            assert load_instances(expected) == instances
 
     def test_numpy_scalar_entries_are_not_json(self):
         with pytest.raises(TypeError):

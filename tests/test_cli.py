@@ -14,7 +14,8 @@ from allocsim.assignment import (
     load_candidates,
     load_instances,
 )
-from allocsim.cli import main
+from allocsim.cli import build_parser, main
+from allocsim.levels import get_level
 from allocsim.seeding import derive_seed
 
 
@@ -255,6 +256,30 @@ class TestCapabilitySweep:
         assert main(["capability-sweep", "--seed", "1", "--output", str(tmp_path / "x")]) == 2
 
 
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(root)): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+def test_one_parser_serves_successive_calls(tmp_path, capsys):
+    # every mapping is optimal at all-zero costs, so only --strict-mapping
+    # marks the random allocator's non-canonical answers wrong
+    assign = ["assign-eval", "--seed", "2", "--instances", "4", "--n-min", "3", "--n-max", "5",
+              "--lo", "0", "--hi", "0", "--allocator", "random"]
+    runs = [[*assign, "--strict-mapping"], assign,
+            ["kitchen-run", "--seed", "1", "--level", "level_1", "--agents", "2", "--budget", "5"]]
+    printed = []
+    for i, argv in enumerate(runs):
+        assert main([*argv, "--output", str(tmp_path / f"shared{i}")]) == 0
+        printed.append(capsys.readouterr().out)
+    for i, argv in enumerate(runs):
+        args = build_parser().parse_args([*argv, "--output", str(tmp_path / f"fresh{i}")])
+        assert args.func(args) == 0
+        assert capsys.readouterr().out == printed[i]
+        assert _tree(tmp_path / f"shared{i}") == _tree(tmp_path / f"fresh{i}")
+    strict, lenient = (read_json(tmp_path / f"shared{i}" / "score.json")["accuracy"] for i in (0, 1))
+    assert strict < lenient == 1.0
+
+
 def _config_run(argv, conf):
     """Argv builder: ``argv`` plus a config file holding ``conf(tmp_path)``."""
     def build(tmp_path):
@@ -292,6 +317,14 @@ def _replay_run(text):
         path.write_text(text, encoding="utf-8")
         return ["replay", "--trace", str(path)]
     return build
+
+
+def _trace(*records, **header):
+    """Trace text: a level_1 header for 2 agents updated by ``header`` (None drops a key), then ``records``."""
+    fields = {"kind": "trace_header", "level": get_level("level_1").to_json_dict(), "agent_count": 2,
+              "seed": 1, "mode": "individual", "budget": None, **header}
+    lines = [{k: v for k, v in fields.items() if v is not None}, *records]
+    return "".join(json.dumps(line) + "\n" for line in lines)
 
 
 _KITCHEN_BASE = ["kitchen-run", "--seed", "1", "--level", "level_1", "--mode", "all"]
@@ -348,6 +381,11 @@ BAD_INPUT = [
                  id="sweep-level-file-malformed"),
     pytest.param(_replay_run("not json\n"), id="trace-line-not-json"),
     pytest.param(_replay_run("[1]\n"), id="trace-header-not-an-object"),
+    pytest.param(_replay_run(_trace([1])), id="trace-step-not-an-object"),
+    pytest.param(_replay_run(_trace({"step": 0, "actions": "goto"})), id="trace-step-actions-not-an-object"),
+    pytest.param(_replay_run(_trace({"step": 0, "actions": {"agent0": 5}})), id="trace-step-action-not-a-string"),
+    pytest.param(_replay_run(_trace(level=None)), id="trace-header-without-level"),
+    pytest.param(_replay_run(_trace(agent_count=9)), id="trace-header-agent-count-out-of-range"),
 ]
 
 
