@@ -571,32 +571,19 @@ def parse_candidate_text(text: str, n: int) -> Candidate:
 def dump_instances(instances: Iterable[CostMatrix]) -> str:
     """``json.dumps([m.to_json_dict() ...], indent=2, sort_keys=True)``, byte for byte.
 
-    Matrices whose entries are all exactly ``int`` or all exactly ``float``
-    are written with string joins, since ``repr`` of such an entry is its
-    JSON text (``CostMatrix`` admits no NaN or infinity). A matrix built
-    from an integer array is known to hold ``int`` entries, so it is
-    written with one ``"%d"`` row format and its entries are not looked
-    at. Anything else (bools, numpy scalars, a mix, no matrices) goes
-    through ``json``.
+    A non-empty batch of matrices built from integer arrays, whose entries
+    are known to be exactly ``int``, is written with one ``"%d"`` row
+    format per matrix and its entries are not looked at. Anything else
+    goes through ``json``.
     """
     instances = list(instances)
-    types: set[type] = set()
-    for m in instances:
-        if m._int_entries:
-            types.add(int)
-            continue
-        for row in m.values:
-            types.update(map(type, row))
-    if types != {int} and types != {float}:
+    if not instances or not all(m._int_entries for m in instances):
         return json.dumps([m.to_json_dict() for m in instances], indent=2, sort_keys=True)
     entry_sep = ",\n        "
     rows_sep = "\n      ],\n      [\n        "
     blocks = []
     for m in instances:
-        if m._int_entries:
-            rows = map(entry_sep.join(["%d"] * m.n).__mod__, m.values)
-        else:
-            rows = (entry_sep.join(map(repr, row)) for row in m.values)
+        rows = map(entry_sep.join(["%d"] * m.n).__mod__, m.values)
         blocks.append(
             f'  {{\n    "n": {m.n},\n    "values": [\n      [\n        '
             + rows_sep.join(rows)

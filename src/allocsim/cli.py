@@ -270,6 +270,8 @@ def cmd_assign_eval(args: argparse.Namespace) -> int:
         raise ConfigError("assign-eval: instances must be >= 1")
     if not 1 <= n_min <= n_max:
         raise ConfigError(f"assign-eval: bad n range [{n_min}, {n_max}]")
+    if not 0 <= lo <= hi < 2**63:  # numpy draws the costs as int64
+        raise ConfigError(f"assign-eval: bad cost range [{lo}, {hi}]; need 0 <= lo <= hi < 2**63")
 
     mock_pool = None
     if allocator == "mock":
@@ -374,6 +376,8 @@ def cmd_kitchen_run(args: argparse.Namespace) -> int:
     level = _load_level_config(conf.get("level") or "level_1")
     mode_arg = (conf.get("mode") or "individual").lower()
     budget = _int_or(conf, "budget", None, "kitchen-run")
+    if budget is not None and budget < 0:
+        raise ConfigError(f"kitchen-run: budget must be >= 0, got {budget}")
     output = Path(_require(conf, "output", str, "kitchen-run"))
     bindings = conf.get("bindings", {})
 
@@ -471,6 +475,8 @@ def cmd_capability_sweep(args: argparse.Namespace) -> int:
     seed = _require(conf, "seed", int, "capability-sweep")
     level = _load_level_config(conf.get("level") or "level_1")
     budget = _int_or(conf, "budget", None, "capability-sweep")
+    if budget is not None and budget < 0:
+        raise ConfigError(f"capability-sweep: budget must be >= 0, got {budget}")
     output = Path(_require(conf, "output", str, "capability-sweep"))
     workers_arg = conf.get("workers")
     if workers_arg is None:

@@ -17,6 +17,10 @@ anything unparseable, any gateway failure, and any action naming the
 wrong agent degrades to a logged noop for that step -- metrics record
 the failure rather than silently repairing it. A planner that fails the
 same way keeps its prior plan and counts a replan failure.
+
+Policies and planners read the live episode state and must not mutate it;
+``kitchen.step`` never mutates its input, so no copy is taken. The state
+holds only the present: :func:`run_episode` keeps the episode's events.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .accounting import (
 from .gateway import GatewayError
 from .kitchen import (
     Activate,
+    EventKind,
     Get,
     Goto,
     KitchenAction,
@@ -107,12 +112,16 @@ class PolicyResponse:
 
 
 class Policy(Protocol):
+    """Answers a query in free text; reads the live ``state`` and must not mutate it."""
+
     model_id: str
 
     def respond(self, query: PolicyQuery, state: KitchenState) -> PolicyResponse: ...
 
 
 class PlannerBackend(Protocol):
+    """Plans (``None`` when it cannot); reads the live ``state`` and must not mutate it."""
+
     model_id: str
 
     def plan(
@@ -268,6 +277,8 @@ class FallbackNote:
 
 @dataclass
 class EpisodeReport:
+    """One run of :func:`run_episode`; ``event_log`` holds only this run's events."""
+
     mode: ControllerMode
     agent_count: int
     steps: int
@@ -378,7 +389,7 @@ def run_episode(
             plan,
             roster,
             planner,
-            state.copy(),
+            state,
             capability_block,
         )
         planner_invocations += 1
@@ -390,15 +401,16 @@ def run_episode(
             replan_failures += 1
         plan = outcome.plan
 
+    # the orders load_level makes live are introduced at step 0
+    live = state.orders if state.step == 0 else []
+    events = [KitchenEvent(EventKind.ORDER_INTRODUCED, o.dish, 0) for o in live]
     plan: Plan | None = None
     if mode is ControllerMode.PLANNER:
-        initial_events = tuple(e for e in state.event_log if e.step == state.step)
-        replan(initial_events)
+        replan(tuple(events))
 
     steps_run = 0
     while steps_run < total_steps:
         observation = render_observation(state)
-        snapshot = state.copy()
         actions: dict[str, KitchenAction] = {}
         pre_failed: dict[str, str | None] = {}
         acting_model: dict[str, str] = {}
@@ -406,7 +418,7 @@ def run_episode(
         if mode is ControllerMode.ORCHESTRATOR:
             assert central is not None
             query = PolicyQuery(observation=observation, agent_id="__central__")
-            response, failure = _call_policy(central, query, snapshot)
+            response, failure = _call_policy(central, query, state)
             policy_calls["orchestrator"] += 1
             for agent_id in roster:
                 acting_model[agent_id] = central.model_id
@@ -438,7 +450,7 @@ def run_episode(
                     agent_id=agent_id,
                     directives=directives,
                 )
-                response, failure = _call_policy(policy, query, snapshot)
+                response, failure = _call_policy(policy, query, state)
                 policy_calls["worker"] += 1
                 if response is None:
                     actions[agent_id] = Noop(agent_id)
@@ -469,6 +481,7 @@ def run_episode(
                     agent_id, acting_model[agent_id], outcome.per_agent_result[agent_id].ok
                 )
         state = outcome.next_state
+        events.extend(outcome.events)
         trace.append(
             {
                 "step": step_index,
@@ -489,7 +502,7 @@ def run_episode(
         agent_count=len(roster),
         steps=steps_run,
         completed_orders=state.completed_count,
-        event_log=tuple(state.event_log),
+        event_log=tuple(events),
         action_counts=dict(histogram),
         ledger=ledger,
         capability=profile,

@@ -386,11 +386,9 @@ class KitchenState:
     orders: list[DishOrder]
     step: int
     dish_schedule: tuple[str, ...]  # dish per spawn step, drawn at load
-    next_spawn_index: int
-    introduced_count: int
+    next_spawn_index: int  # also the number of orders introduced so far
     expired_count: int
     completed_dishes: list[str]
-    event_log: list[KitchenEvent]
 
     def copy(self) -> "KitchenState":
         return copy.deepcopy(self)
@@ -455,10 +453,8 @@ def load_level(config: LevelConfig, agent_count: int, seed: int) -> KitchenState
         step=0,
         dish_schedule=schedule,
         next_spawn_index=1,
-        introduced_count=1,
         expired_count=0,
         completed_dishes=[],
-        event_log=[KitchenEvent(EventKind.ORDER_INTRODUCED, first.dish, 0)],
     )
 
 
@@ -626,11 +622,9 @@ def step(state: KitchenState, joint: Mapping[str, KitchenAction]) -> StepOutcome
             )
         )
         nxt.next_spawn_index += 1
-        nxt.introduced_count += 1
         events.append(KitchenEvent(EventKind.ORDER_INTRODUCED, dish, t))
 
     nxt.step = upcoming
-    nxt.event_log.extend(events)
     return StepOutcome(nxt, tuple(events), results)
 
 
@@ -727,6 +721,6 @@ def item_census(state: KitchenState) -> Counter:
 
 def order_accounting_ok(state: KitchenState) -> bool:
     """introduced == completed + expired + live, at any point in time."""
-    return state.introduced_count == (
+    return state.next_spawn_index == (
         len(state.completed_dishes) + state.expired_count + len(state.orders)
     )

@@ -10,8 +10,8 @@ Orders are ranked earliest-deadline-first throughout.
 In Individual and Orchestrator modes the oracle self-assigns whole orders
 round-robin by spawn ordinal; in Planner mode the scripted planner
 partitions work units round-robin across agents and scripted workers
-follow their directives. Decisions are pure functions of the state
-snapshot, so scripted episodes replay bit-for-bit.
+follow their directives. Decisions are pure functions of the state,
+which they only read, so scripted episodes replay bit-for-bit.
 """
 
 from __future__ import annotations

@@ -134,6 +134,16 @@ class TestKitchenRun:
             reports[mode] = read_json(out / mode / "report.json")
         assert reports["planner"]["planner_invocations"] >= 1
 
+    def test_zero_budget_runs_no_steps(self, tmp_path):
+        out = tmp_path / "kr"
+        assert main([*_KITCHEN_BASE, "--agents", "2", "--budget", "0", "--output", str(out)]) == 0
+        for mode in ("individual", "orchestrator", "planner"):
+            assert read_json(out / mode / "report.json")["steps"] == 0
+            assert main(["replay", "--trace", str(out / mode / "trace.jsonl")]) == 0
+        sweep = tmp_path / "cs"
+        assert main([*_SWEEP_BASE, "--workers", "scripted", "--budget", "0", "--output", str(sweep)]) == 0
+        assert read_json(sweep / "informed" / "report.json")["steps"] == 0
+
     def test_report_bytes_round_trip(self, tmp_path):
         out = tmp_path / "kr"
         main(["kitchen-run", "--seed", "5", "--level", "level_1",
@@ -356,10 +366,16 @@ BAD_INPUT = [
     pytest.param(_config_run([*_KITCHEN_BASE, "--agents", "2"], {"budget": "ten"}), id="kitchen-budget-not-an-int"),
     pytest.param(_config_run([*_SWEEP_BASE, "--workers", "scripted"], {"budget": "ten"}),
                  id="sweep-budget-not-an-int"),
+    pytest.param(_config_run([*_KITCHEN_BASE, "--agents", "2", "--budget", "-3"], {}), id="kitchen-budget-negative"),
+    pytest.param(_config_run([*_SWEEP_BASE, "--workers", "scripted", "--budget", "-2"], {}),
+                 id="sweep-budget-negative"),
     *[
         pytest.param(_config_run(_ASSIGN, {key: "x"}), id=f"assign-{key}-not-an-int")
         for key in ("n_min", "n_max", "lo", "hi")
     ],
+    pytest.param(_config_run([*_ASSIGN, "--lo", "5", "--hi", "1"], {}), id="assign-lo-above-hi"),
+    pytest.param(_config_run([*_ASSIGN, "--lo", "-1"], {}), id="assign-lo-negative"),
+    pytest.param(_config_run([*_ASSIGN, "--hi", "10000000000000000000"], {}), id="assign-hi-beyond-int64"),
     pytest.param(_config_run([*_ASSIGN, "--allocator", "mock", "--mock-file", "absent.json"], {}),
                  id="missing-mock-file"),
     *[

@@ -10,6 +10,7 @@ from allocsim.coordination import (
     ControllerMode,
     Directive,
     Plan,
+    format_event,
     parse_action,
     parse_joint_actions,
     planner_replan,
@@ -20,6 +21,7 @@ from allocsim.kitchen import (
     EventKind,
     Get,
     Goto,
+    KitchenEvent,
     Noop,
     load_level,
 )
@@ -129,9 +131,10 @@ class TestParseAction:
 class TestPlannerReplan:
     def test_step0_single_order_two_agents_both_directed(self, level_1):
         state = load_level(level_1, 2, seed=0)
+        introduced = KitchenEvent(EventKind.ORDER_INTRODUCED, "salmonMeatcake", 0)
         outcome = planner_replan(
             observation="obs",
-            events=tuple(state.event_log),
+            events=(introduced,),
             prior=None,
             roster=state.agent_ids(),
             backend=ScriptedPlanner(),
@@ -142,6 +145,9 @@ class TestPlannerReplan:
         for agent_id in ("agent0", "agent1"):
             directives = plan.for_agent(agent_id)
             assert directives and directives[0].dish == "salmonMeatcake"
+        # run_episode hands the initial replan the step-0 introduction
+        report = scripted_planner_episode(level_1, 2, seed=0, budget=0)
+        assert f"- {format_event(introduced)}\n" in report.planner_prompts[0]
 
     def test_expired_order_absent_from_new_plan(self, level_1):
         # idle workers let the first order expire at step 9

@@ -31,7 +31,7 @@ from allocsim.kitchen import (
 )
 from allocsim.levels import get_level
 
-from conftest import random_level
+from conftest import random_level, scripted_individual_episode
 
 
 def noop_joint(state):
@@ -74,11 +74,11 @@ class TestLoadLevel:
             load_level(level_1, count, seed=0)
 
     def test_initial_introduction_logged(self, level_1):
-        state = load_level(level_1, 1, seed=3)
-        assert state.event_log == [
-            KitchenEvent(EventKind.ORDER_INTRODUCED, "salmonMeatcake", 0)
-        ]
-        assert state.introduced_count == 1
+        report = scripted_individual_episode(level_1, 1, seed=3, budget=0)
+        assert report.event_log == (
+            KitchenEvent(EventKind.ORDER_INTRODUCED, "salmonMeatcake", 0),
+        )
+        assert load_level(level_1, 1, seed=3).next_spawn_index == 1
 
     def test_malformed_configs_rejected(self):
         base = get_level("level_1").to_json_dict()
@@ -203,21 +203,20 @@ class TestStepSemantics:
 
     def test_expiry_fires_when_unserved(self, level_1):
         state = load_level(level_1, 1, seed=0)
-        for _ in range(10):
-            state = step(state, noop_joint(state)).next_state
-        expired = [e for e in state.event_log if e.kind is EventKind.ORDER_EXPIRED]
+        state, events, _ = run_actions(state, *[{}] * 10)
+        expired = [e for e in events if e.kind is EventKind.ORDER_EXPIRED]
         assert expired == [KitchenEvent(EventKind.ORDER_EXPIRED, "salmonMeatcake", 9)]
         assert state.expired_count == 1
 
     def test_orders_spawn_on_interval_and_are_visible_beforehand(self, level_1):
         state = load_level(level_1, 1, seed=0)
-        for _ in range(12):
-            outcome = step(state, noop_joint(state))
-            state = outcome.next_state
-        # the order issued at step 12 spawned during step 11's call
-        introduced = [e for e in state.event_log if e.kind is EventKind.ORDER_INTRODUCED]
-        assert [e.step for e in introduced] == [0, 11]
+        state, events, _ = run_actions(state, *[{}] * 12)
+        # the order issued at step 12 spawned during step 11's call; the
+        # first order was live from load
+        introduced = [e for e in events if e.kind is EventKind.ORDER_INTRODUCED]
+        assert [e.step for e in introduced] == [11]
         assert state.orders[-1].issued_at == 12
+        assert state.next_spawn_index == 2
 
     def test_max_steps_refuses_further_steps(self, level_1):
         state = load_level(level_1, 1, seed=0)

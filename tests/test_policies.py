@@ -1,12 +1,23 @@
-"""Unit tests for the scripted oracle's building blocks."""
+"""Unit tests for the scripted oracle's building blocks and the read-only policy contract."""
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 
+import pytest
+
+from allocsim.coordination import ControllerMode, PolicyQuery, run_episode
+from allocsim.gateway import MockEntry, ModelBinding, install_mock
 from allocsim.kitchen import Activate, Get, Goto, Noop, Put, load_level, step
 from allocsim.levels import get_level
 from allocsim.policies import (
+    FixedScriptWorker,
+    FlakyWorker,
+    GatewayOrchestrator,
+    GatewayPlanner,
+    GatewayWorker,
+    ScriptedOrchestrator,
     ScriptedPlanner,
     ScriptedWorker,
     advance_unit,
@@ -143,3 +154,71 @@ class TestPlannerPartition:
         )
         response = worker.respond(query, state)
         assert response.text == "noop(agent0)"
+
+
+class _Recorder:
+    """Delegates to ``inner`` and keeps every state it is shown."""
+
+    def __init__(self, inner, seen):
+        self.inner = inner
+        self.seen = seen
+        self.model_id = inner.model_id
+
+    def respond(self, query, state):
+        self.seen.append(state)
+        return self.inner.respond(query, state)
+
+
+def episode_states(mode, level, agents, seed):
+    """Every state a scripted episode under ``mode`` shows its policies, once each."""
+    seen = []
+    state = load_level(level, agents, seed)
+    run_episode(
+        mode,
+        state,
+        workers={a: _Recorder(ScriptedWorker(), seen) for a in state.agent_ids()},
+        central=_Recorder(ScriptedOrchestrator(), seen),
+        planner=ScriptedPlanner(),
+    )
+    return list({id(s): s for s in seen}.values())
+
+
+def _mock():
+    entry = MockEntry(text="agent0: idle\nnoop(agent0)", tokens_in=1, tokens_out=1)
+    return install_mock([entry])
+
+
+class TestReadOnlyContract:
+    """Policies read the live episode state; none of them may change it."""
+
+    BINDING = ModelBinding(model_id="m")
+
+    def policy_calls(self, state):
+        """(policy, query) for every stock policy, workers with and without directives."""
+        plan, _ = ScriptedPlanner().plan("p", state, state.agent_ids(), None, ())
+        calls = []
+        for agent_id in state.agent_ids():
+            bare = PolicyQuery(observation="obs", agent_id=agent_id)
+            directed = PolicyQuery("obs", agent_id, plan.for_agent(agent_id))
+            calls += [
+                (ScriptedWorker(), bare),
+                (ScriptedWorker(), directed),
+                (FlakyWorker(ScriptedWorker(), 0.5, seed=1), directed),
+                (FixedScriptWorker([f"goto({agent_id}, storage0)"]), bare),
+                (GatewayWorker(self.BINDING, _mock()), directed),
+            ]
+        central = PolicyQuery(observation="obs", agent_id="__central__")
+        return calls + [(ScriptedOrchestrator(), central), (GatewayOrchestrator(self.BINDING, _mock()), central)]
+
+    @pytest.mark.parametrize("mode", list(ControllerMode), ids=lambda m: m.value)
+    def test_policies_leave_the_state_unchanged(self, mode):
+        states = episode_states(mode, get_level("level_3"), 3, seed=5)
+        assert len(states) == 60
+        for state in states:
+            before = copy.deepcopy(state)
+            for policy, query in self.policy_calls(state):
+                policy.respond(query, state)
+                assert state == before, (type(policy).__name__, query.agent_id, state.step)
+            for planner in (ScriptedPlanner(), GatewayPlanner(self.BINDING, _mock())):
+                planner.plan("prompt", state, state.agent_ids(), None, ())
+                assert state == before, (type(planner).__name__, state.step)
