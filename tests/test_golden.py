@@ -41,6 +41,73 @@ KITCHEN_RUNS = {
     ("level_3", 6): "5cc7ff44b209303eaaf690852dba60e46d4eb3dac99b278052eda304585e3ce2",
 }
 MOCK_RUN = "e9856497bbeb386b4c99fd65c51f8a491a051465e7b4f424a762a64304cf264d"
+MOCK_WORKERS_RUN = "5c128ebe6e23393f6ce4d9344131c02917f53760847fdb021cd12d94dae759b2"
+MOCK_SWEEP_RUN = "c0810159e5464aed54d88baac0fc5685e8e89ca58bdbfde1ef929c1f7590949b"
+
+
+def _moves(agent: str, blender: str, pan: str | None) -> list[str]:
+    """One dish from storage0 to servingtable0, waiting out each 3-step cook."""
+    def cook(tool: str, item: str) -> list[str]:
+        return [f"put({agent}, {tool})", f"activate({agent}, {tool})",
+                f"noop({agent})", f"noop({agent})", f"get({agent}, {tool}, {item})"]
+
+    moves = [f"goto({agent}, storage0)", f"get({agent}, storage0, salmon)", f"goto({agent}, {blender})"]
+    if pan is None:
+        moves += cook(blender, "salmonMeatcake")
+    else:
+        moves += cook(blender, "salmonPaste") + [f"goto({agent}, {pan})"] + cook(pan, "grilledSalmonPatty")
+    return moves + [f"goto({agent}, servingtable0)", f"put({agent}, servingtable0)"]
+
+
+def _replies(texts: list[str], base_in: int, base_out: int) -> list[dict]:
+    return [{"text": text, "tokens_in": base_in + 37 * k, "tokens_out": base_out + (7 * k) % 31}
+            for k, text in enumerate(texts)]
+
+
+def _worker_script(i: int) -> list[dict]:
+    """Level_2 replies for agent i in prose. Agent 0 serves a dish; agent 1
+    tries to grill raw salmon; agent 2 leaves salmon on the table. Each
+    also has a malformed reply and a transient failure, agent 1 an action
+    naming another agent, and all run out before step 20."""
+    me = f"agent{i}"
+    if i == 0:
+        moves = _moves(me, "blender0", "pan0")
+    elif i == 1:
+        moves = [f"goto({me}, storage0)", f"get({me}, storage0, salmon)", f"goto({me}, pan1)",
+                 f"put({me}, pan1)", f"activate({me}, pan1)", f"goto(agent0, storage0)"]
+    else:
+        moves = [f"goto({me}, storage0)", f"get({me}, storage0, salmon)",
+                 f"goto({me}, servingtable0)", f"put({me}, servingtable0)", f"noop({me})"]
+    script = _replies([f"I will do {move}." for move in moves], 700 + 11 * i, 9 + i)
+    script.insert(2, {"fail_transient": True})
+    script.insert(6 if i == 0 else 5, {"malformed": True})  # agent 0: during the cook
+    return script
+
+
+def _joint_script() -> list[dict]:
+    """Agent 0 serves a level_2 dish while agents 1 and 2 idle or collide."""
+    joint = [f"{move}\nnoop(agent1)\ngoto(agent2, {'pan0' if k % 2 else 'storage0'})"
+             for k, move in enumerate(_moves("agent0", "blender0", "pan0"))]
+    return _replies(joint, 1500, 60)
+
+
+def _plan_script(agents: int) -> list[dict]:
+    tasks = ("fetch salmon", "blend salmon", "grill the paste", "deliver the dish")
+    plans = ["\n".join(f"agent{i}: {tasks[(k + i) % len(tasks)]}" for i in range(agents)) for k in range(6)]
+    plans.insert(2, "no plan this time")
+    return _replies(plans, 2100, 80)
+
+
+def _mock_spec(tmp_path, name: str, model_id: str, script: list[dict]) -> dict:
+    """A mock binding whose script file is named relative to the working directory."""
+    (tmp_path / name).write_text(json.dumps(script), encoding="utf-8")
+    return {"kind": "mock", "model_id": model_id, "script": name}
+
+
+def _write_config(tmp_path, conf: dict) -> str:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(conf), encoding="utf-8")
+    return str(config)
 
 
 def run_digest(argv, tmp_path, capsys) -> str:
@@ -72,3 +139,32 @@ def test_mock_orchestrator_and_planner(tmp_path, capsys):
     argv = ["kitchen-run", "--seed", "1", "--level", "level_1", "--agents", "2", "--mode", "all",
             "--budget", "20", "--config", str(config)]
     assert run_digest(argv, tmp_path, capsys) == MOCK_RUN
+
+
+def test_mock_workers_orchestrator_and_planner(tmp_path, capsys, monkeypatch):
+    # one model per worker (dealt round-robin, so agent i gets model i), each
+    # with its own price denominators, as are the orchestrator's and the planner's
+    monkeypatch.chdir(tmp_path)
+    models = ("gpt-4o-mini", "qwen2.5-32b", "llama-3.1-70b")
+    config = _write_config(tmp_path, {"bindings": {
+        "workers": [_mock_spec(tmp_path, f"w{i}.json", m, _worker_script(i)) for i, m in enumerate(models)],
+        "orchestrator": _mock_spec(tmp_path, "o.json", "gpt-4o", _joint_script()),
+        "planner": _mock_spec(tmp_path, "p.json", "claude-3.7", _plan_script(3)),
+    }})
+    argv = ["kitchen-run", "--seed", "1", "--level", "level_2", "--agents", "3", "--mode", "all",
+            "--budget", "20", "--config", config]
+    assert run_digest(argv, tmp_path, capsys) == MOCK_WORKERS_RUN
+
+
+def test_capability_sweep_with_mock_planner(tmp_path, capsys, monkeypatch):
+    # agent 0 is a billed mock worker that serves a level_1 dish, so both
+    # arms have a non-zero cost and a completed order
+    monkeypatch.chdir(tmp_path)
+    worker = _mock_spec(tmp_path, "w0.json", "gpt-4o-mini",
+                        _replies(_moves("agent0", "blender0", None), 650, 12))
+    config = _write_config(tmp_path, {
+        "workers": [worker, "scripted:0.5", "scripted:0.0"],
+        "bindings": {"planner": _mock_spec(tmp_path, "p.json", "llama-3.1-70b", _plan_script(3))},
+    })
+    argv = ["capability-sweep", "--seed", "1", "--level", "level_1", "--budget", "40", "--config", config]
+    assert run_digest(argv, tmp_path, capsys) == MOCK_SWEEP_RUN
