@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from decimal import Decimal
@@ -54,11 +55,11 @@ class PriceTable:
         return model_id in self.prices
 
     def usd_for(self, model_id: str, tokens_in: int, tokens_out: int) -> Fraction:
+        # (tokens_in * a/b + tokens_out * c/d) / 1e6 over one common denominator
         price = self.prices[model_id]
-        return (
-            Fraction(tokens_in) * price.input_usd_per_mtok
-            + Fraction(tokens_out) * price.output_usd_per_mtok
-        ) / _MTOK
+        a, b = price.input_usd_per_mtok.as_integer_ratio()
+        c, d = price.output_usd_per_mtok.as_integer_ratio()
+        return Fraction(tokens_in * a * d + tokens_out * c * b, b * d * _MTOK)
 
     @classmethod
     def from_entries(cls, entries: Mapping[str, tuple[Any, Any]]) -> "PriceTable":
@@ -126,7 +127,12 @@ class CostLedger:
         return row
 
     def total_usd(self) -> Fraction:
-        return sum((row.usd for row in self.rows), Fraction(0))
+        # one Fraction: the rows' numerators over the lcm of their denominators
+        denominator = math.lcm(*(row.usd.denominator for row in self.rows))
+        return Fraction(
+            sum(row.usd.numerator * (denominator // row.usd.denominator) for row in self.rows),
+            denominator,
+        )
 
     def sorted_rows(self) -> list[LedgerRow]:
         return sorted(self.rows, key=lambda r: (r.step, r.role, r.model_id))

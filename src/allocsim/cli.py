@@ -20,7 +20,8 @@ Exit codes: 0 on success, 1 when ``replay`` finds a mismatch, 2 on a
 configuration error (bad flag value, config file, binding spec, mock
 script, mock file, level file or trace line; a ``kind: model`` binding
 without an endpoint or with its auth variable unset), reported as one
-``error:`` line on stderr.
+``error:`` line on stderr. ``kitchen-run --mode all`` builds every mode's
+bindings before its first episode, so a bad binding writes no artifact.
 """
 
 from __future__ import annotations
@@ -338,33 +339,26 @@ def _write_episode_artifacts(
         for record in report.trace:
             fh.write(_jsonl_line(record) + "\n")
     _dump_json(output / "report.json", report.to_json_dict())
-    _dump_json(output / "efficiency.json", report.efficiency_report().to_json_dict())
+    eff = report.efficiency_report()
+    _dump_json(output / "efficiency.json", eff.to_json_dict())
     (output / "ledger.csv").write_text(report.ledger.to_csv(), encoding="utf-8")
 
-    histogram = report.efficiency_report().action_histogram
     lines = ["action,count,fraction"]
-    for kind, fraction in histogram.items():
+    for kind, fraction in eff.action_histogram.items():
         lines.append(f"{kind},{report.action_counts.get(kind, 0)},{fraction!r}")
     (output / "histogram.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _run_one_mode(
-    mode: ControllerMode,
-    level: LevelConfig,
-    agent_count: int,
-    seed: int,
-    budget: int | None,
-    bindings: Mapping[str, Any],
-) -> EpisodeReport:
-    state = load_level(level, agent_count, seed)
+def _mode_policies(
+    mode: ControllerMode, roster: Sequence[str], seed: int, bindings: Mapping[str, Any]
+) -> dict[str, Any]:
+    """The policy arguments of :func:`run_episode` for one mode."""
     if mode is ControllerMode.ORCHESTRATOR:
-        central = _policy_from_spec("orchestrator", bindings.get("orchestrator"))
-        return run_episode(mode, state, central=central, budget=budget)
-    workers = _build_workers(bindings.get("workers"), state.agent_ids(), seed)
-    planner = None
+        return {"central": _policy_from_spec("orchestrator", bindings.get("orchestrator"))}
+    policies = {"workers": _build_workers(bindings.get("workers"), roster, seed)}
     if mode is ControllerMode.PLANNER:
-        planner = _policy_from_spec("planner", bindings.get("planner"))
-    return run_episode(mode, state, workers=workers, planner=planner, budget=budget)
+        policies["planner"] = _policy_from_spec("planner", bindings.get("planner"))
+    return policies
 
 
 def cmd_kitchen_run(args: argparse.Namespace) -> int:
@@ -389,9 +383,16 @@ def cmd_kitchen_run(args: argparse.Namespace) -> int:
         except ValueError:
             raise ConfigError(f"kitchen-run: unknown mode {mode_arg!r}")
 
+    # every mode's bindings are built first, so a bad one fails before any
+    # episode runs or writes an artifact
+    runs = []
     for mode in modes:
         episode_seed = derive_seed(seed, "episode", mode.value)
-        report = _run_one_mode(mode, level, agents, episode_seed, budget, bindings)
+        state = load_level(level, agents, episode_seed)
+        policies = _mode_policies(mode, state.agent_ids(), episode_seed, bindings)
+        runs.append((mode, episode_seed, state, policies))
+    for mode, episode_seed, state, policies in runs:
+        report = run_episode(mode, state, budget=budget, **policies)
         target = output / mode.value if len(modes) > 1 else output
         _write_episode_artifacts(target, report, level, agents, episode_seed, budget)
         planner_note = (

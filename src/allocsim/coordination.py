@@ -21,6 +21,11 @@ same way keeps its prior plan and counts a replan failure.
 Policies and planners read the live episode state and must not mutate it;
 ``kitchen.step`` never mutates its input, so no copy is taken. The state
 holds only the present: :func:`run_episode` keeps the episode's events.
+
+Each state is rendered once: the text of the state a step produces is the
+observation the next step's policies see, the prompt of a replan after
+that step, and the source of the step's trace ``observation_hash`` (and,
+after the last step, of the report's ``final_observation_hash``).
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ from .kitchen import (
     Noop,
     Put,
     action_kind,
-    observation_hash,
+    observation_hash,  # not called here, but bench/tracer.py wraps coordination.observation_hash
+    observation_text_hash,
     render_observation,
     step as kitchen_step,
 )
@@ -299,6 +305,7 @@ class EpisodeReport:
         return efficiency(self.completed_orders, self.ledger, self.action_counts)
 
     def to_json_dict(self) -> dict[str, Any]:
+        eff = self.efficiency_report()
         return {
             "mode": self.mode.value,
             "agent_count": self.agent_count,
@@ -306,8 +313,8 @@ class EpisodeReport:
             "completed_orders": self.completed_orders,
             "events": [e.to_json_dict() for e in self.event_log],
             "action_counts": dict(self.action_counts),
-            "action_histogram": self.efficiency_report().action_histogram,
-            "efficiency": self.efficiency_report().to_json_dict(),
+            "action_histogram": eff.action_histogram,
+            "efficiency": eff.to_json_dict(),
             "ledger": self.ledger.to_json_dict(),
             "capability": self.capability.to_json_dict(),
             "planner_invocations": self.planner_invocations,
@@ -384,7 +391,7 @@ def run_episode(
         nonlocal plan, planner_invocations, replan_failures
         assert planner is not None
         outcome = planner_replan(
-            render_observation(state),
+            observation,
             events,
             plan,
             roster,
@@ -405,12 +412,12 @@ def run_episode(
     live = state.orders if state.step == 0 else []
     events = [KitchenEvent(EventKind.ORDER_INTRODUCED, o.dish, 0) for o in live]
     plan: Plan | None = None
+    observation = render_observation(state)
     if mode is ControllerMode.PLANNER:
         replan(tuple(events))
 
     steps_run = 0
     while steps_run < total_steps:
-        observation = render_observation(state)
         actions: dict[str, KitchenAction] = {}
         pre_failed: dict[str, str | None] = {}
         acting_model: dict[str, str] = {}
@@ -481,6 +488,7 @@ def run_episode(
                     agent_id, acting_model[agent_id], outcome.per_agent_result[agent_id].ok
                 )
         state = outcome.next_state
+        observation = render_observation(state)
         events.extend(outcome.events)
         trace.append(
             {
@@ -490,7 +498,7 @@ def run_episode(
                     a: outcome.per_agent_result[a].to_json_dict() for a in roster
                 },
                 "events": [e.to_json_dict() for e in outcome.events],
-                "observation_hash": observation_hash(state),
+                "observation_hash": observation_text_hash(observation),
             }
         )
         steps_run += 1
@@ -512,5 +520,5 @@ def run_episode(
         fallbacks=fallbacks,
         policy_calls=dict(policy_calls),
         trace=trace,
-        final_observation_hash=observation_hash(state),
+        final_observation_hash=observation_text_hash(observation),
     )

@@ -174,17 +174,17 @@ class MockTransport:
     """Deterministic transport that replays a script of canned entries.
 
     Consumption order matches call order. Like the other transports and
-    the ledgers, it is used from one thread only. Every request body is
-    retained for inspection.
+    the ledgers, it is used from one thread only. ``requests`` retains the
+    bytes of every request body sent, undecoded, for inspection.
     """
 
     def __init__(self, script: Iterable[MockEntry]):
         self._script = list(script)
         self._index = 0
-        self.requests: list[dict[str, Any]] = []
+        self.requests: list[bytes] = []
 
     def send(self, binding: ModelBinding, body: bytes) -> Mapping[str, Any]:
-        self.requests.append(json.loads(body))
+        self.requests.append(body)
         if self._index >= len(self._script):
             raise ScriptExhausted(f"mock script exhausted after {self._index} calls")
         entry = self._script[self._index]

@@ -391,7 +391,10 @@ class KitchenState:
     completed_dishes: list[str]
 
     def copy(self) -> "KitchenState":
-        return copy.deepcopy(self)
+        """Deep copy of the mutable state; the immutable level and dish
+        schedule are shared with the original, not copied."""
+        shared = {id(self.config): self.config, id(self.dish_schedule): self.dish_schedule}
+        return copy.deepcopy(self, shared)
 
     @property
     def completed_count(self) -> int:
@@ -701,8 +704,13 @@ def render_observation(state: KitchenState) -> str:
     return "\n".join(lines) + "\n"
 
 
+def observation_text_hash(observation: str) -> str:
+    """Hash of an already rendered observation."""
+    return hashlib.sha256(observation.encode("utf-8")).hexdigest()
+
+
 def observation_hash(state: KitchenState) -> str:
-    return hashlib.sha256(render_observation(state).encode("utf-8")).hexdigest()
+    return observation_text_hash(render_observation(state))
 
 
 # --- bookkeeping helpers ------------------------------------------------------

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allocsim.accounting import (
     CapabilityProfile,
     CostLedger,
+    LedgerRow,
     PriceTable,
     capability_hint,
     default_price_table,
@@ -167,3 +172,57 @@ class TestEfficiency:
         assert sum(histogram.values()) == pytest.approx(1.0, abs=1e-9)
         assert histogram["goto"] == pytest.approx(0.3)
         assert set(histogram) == {"goto", "get", "put", "activate", "noop"}
+
+
+# --- the arithmetic the ledger replaced, kept as its oracle ---------------------
+
+
+def reference_usd_for(table: PriceTable, model_id: str, tokens_in: int, tokens_out: int) -> Fraction:
+    price = table.prices[model_id]
+    return (
+        Fraction(tokens_in) * price.input_usd_per_mtok
+        + Fraction(tokens_out) * price.output_usd_per_mtok
+    ) / 1_000_000
+
+
+class ReferenceLedger(CostLedger):
+    def total_usd(self) -> Fraction:
+        return sum((row.usd for row in self.rows), Fraction(0))
+
+
+_DECIMALS = st.decimals(min_value=Decimal("0.0001"), max_value=Decimal("100"), places=4)
+PRICES = st.one_of(
+    _DECIMALS.map(str),
+    _DECIMALS,
+    st.floats(min_value=1e-4, max_value=100, allow_nan=False, allow_infinity=False),
+    st.integers(min_value=1, max_value=100),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=100, max_denominator=10**6),
+)
+TOKENS = st.integers(min_value=0, max_value=10**7)
+
+
+class TestLedgerOracle:
+    @given(
+        prices=st.lists(st.tuples(PRICES, PRICES), min_size=1, max_size=5),
+        calls=st.lists(st.tuples(st.integers(0, 4), TOKENS, TOKENS, st.integers(0, 59)), max_size=30),
+        completed=st.integers(0, 9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_by_fraction_arithmetic(self, prices, calls, completed):
+        table = PriceTable.from_entries({f"m{i}": pair for i, pair in enumerate(prices)})
+        ledger, reference = CostLedger(table), ReferenceLedger(table)
+        for index, tokens_in, tokens_out, step in calls:
+            model_id = f"m{index % len(prices)}"
+            row = ledger.record_call(model_id, "worker:agent0", tokens_in, tokens_out, step)
+            usd = reference_usd_for(table, model_id, tokens_in, tokens_out)
+            assert type(row.usd) is Fraction and row.usd == usd
+            reference.rows.append(LedgerRow(model_id, "worker:agent0", tokens_in, tokens_out, usd, step))
+
+        total = ledger.total_usd()
+        assert type(total) is Fraction and total == reference.total_usd()
+        report, expected = (efficiency(completed, book, {"goto": 1}) for book in (ledger, reference))
+        assert report == expected and type(report.total_usd) is Fraction
+        assert report.efficiency == (Fraction(completed) / total if total else None)
+        assert json.dumps(report.to_json_dict()) == json.dumps(expected.to_json_dict())
+        assert ledger.to_csv() == reference.to_csv()
+        assert json.dumps(ledger.to_json_dict()) == json.dumps(reference.to_json_dict())

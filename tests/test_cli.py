@@ -357,6 +357,10 @@ BAD_INPUT = [
     pytest.param(_config_run(_KITCHEN, _mock_binding("orchestrator", _ENTRY, max_retries=-1)),
                  id="max-retries-negative"),
     pytest.param(_config_run(_KITCHEN, _mock_binding("workers")), id="missing-script"),
+    # --mode all: the bad binding belongs to a later mode than individual
+    pytest.param(_config_run(_KITCHEN, {"bindings": {"orchestrator": {"kind": "bogus"}}}),
+                 id="all-modes-bad-orchestrator"),
+    pytest.param(_config_run(_KITCHEN, _mock_binding("planner")), id="all-modes-planner-script-missing"),
     pytest.param(_config_run(_KITCHEN, _mock_binding("planner", "{not json")), id="script-not-json"),
     pytest.param(_config_run(_KITCHEN, _mock_binding("workers", '[{"txt": "noop(agent0)"}]')),
                  id="script-entry-unknown-key"),
@@ -411,6 +415,7 @@ def test_bad_input_is_a_config_error(build_argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("role", ["workers", "orchestrator", "planner"])

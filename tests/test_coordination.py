@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allocsim import coordination, kitchen
 from allocsim.coordination import (
     ControllerMode,
     Directive,
@@ -24,7 +25,9 @@ from allocsim.kitchen import (
     KitchenEvent,
     Noop,
     load_level,
+    observation_hash,
 )
+from allocsim.levels import get_level
 from allocsim.policies import (
     FixedScriptWorker,
     FlakyWorker,
@@ -330,6 +333,57 @@ class TestRunEpisode:
         assert [(r.tokens_in, r.tokens_out) for r in rows] == [
             (100 + i, 10 + i) for i in range(5)
         ]
+
+
+class _ObservationCheck:
+    """Wraps a policy or planner; checks it is shown the live state's text."""
+
+    def __init__(self, inner, render):
+        self.inner, self.render, self.model_id = inner, render, inner.model_id
+
+    def respond(self, query, state):
+        assert query.observation == self.render(state)
+        return self.inner.respond(query, state)
+
+    def plan(self, prompt, state, roster, prior, events):
+        assert prompt.startswith(self.render(state) + "\n")
+        return self.inner.plan(prompt, state, roster, prior, events)
+
+
+class TestRenderOnce:
+    @pytest.mark.parametrize("budget", [0, 1, 25])
+    @pytest.mark.parametrize("mode", list(ControllerMode))
+    def test_each_state_is_rendered_once(self, mode, budget, monkeypatch):
+        render, kitchen_step = kitchen.render_observation, coordination.kitchen_step
+        renders, stepped = [], []
+
+        def counting_render(state):
+            renders.append(state.step)
+            return render(state)
+
+        def recording_step(state, joint):
+            outcome = kitchen_step(state, joint)
+            stepped.append(outcome.next_state)
+            return outcome
+
+        monkeypatch.setattr(coordination, "render_observation", counting_render)
+        monkeypatch.setattr(kitchen, "render_observation", counting_render)
+        monkeypatch.setattr(coordination, "kitchen_step", recording_step)
+        state = load_level(get_level("level_3"), 3, seed=5)
+        if mode is ControllerMode.ORCHESTRATOR:
+            policies = {"central": _ObservationCheck(ScriptedOrchestrator(), render)}
+        else:
+            policies = {"workers": {a: _ObservationCheck(ScriptedWorker(), render) for a in state.agent_ids()}}
+        if mode is ControllerMode.PLANNER:
+            policies["planner"] = _ObservationCheck(ScriptedPlanner(), render)
+        report = run_episode(mode, state, budget=budget, **policies)
+
+        assert report.steps == budget
+        assert len(renders) == budget + 1
+        assert [record["observation_hash"] for record in report.trace] == [observation_hash(s) for s in stepped]
+        assert report.final_observation_hash == observation_hash(stepped[-1] if stepped else state)
+        if mode is ControllerMode.PLANNER:
+            assert report.planner_invocations > (budget > 1)
 
 
 class TestScriptedPolicies:

@@ -77,7 +77,7 @@ class TestComplete:
             transport=transport,
             sleep=no_sleep,
         )
-        body = transport.requests[0]
+        body = json.loads(transport.requests[0])
         assert body["temperature"] == 0
         assert body["max_tokens"] == 2048
         assert body["model"] == "gpt-4o-mini"

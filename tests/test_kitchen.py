@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allocsim.kitchen import (
     Activate,
+    DishOrder,
     EpisodeOver,
     FailReason,
     Get,
@@ -18,6 +22,7 @@ from allocsim.kitchen import (
     LevelConfig,
     MalformedLevel,
     Noop,
+    Processing,
     Put,
     UnknownAgent,
     UnknownLocation,
@@ -29,7 +34,7 @@ from allocsim.kitchen import (
     render_observation,
     step,
 )
-from allocsim.levels import get_level
+from allocsim.levels import BUILTIN_LEVELS, get_level
 
 from conftest import random_level, scripted_individual_episode
 
@@ -362,6 +367,19 @@ class TestLegalActions:
                     break
 
 
+def expected_census(before, outcome) -> Counter:
+    """The census after a step: cooks finishing this step swap their contents
+    for their output, and served dishes leave the world."""
+    consumed: Counter = Counter()
+    produced: Counter = Counter()
+    for loc in before.locations.values():
+        if loc.processing is not None and loc.processing.remaining_steps == 1:
+            consumed.update(loc.contents)
+            produced[loc.processing.output_item] += 1
+    served = Counter(e.dish for e in outcome.events if e.kind is EventKind.ORDER_COMPLETED)
+    return item_census(before) + produced - consumed - served
+
+
 class TestInvariants:
     def _scripted_walk(self, level, agents, seed, steps=None):
         """Drive the env with the scripted oracle, yielding transitions."""
@@ -379,18 +397,7 @@ class TestInvariants:
         for seed in range(10):
             level = random_level(seed)
             for before, outcome in self._scripted_walk(level, 1 + seed % 3, seed * 17):
-                after = outcome.next_state
-                consumed: Counter = Counter()
-                produced: Counter = Counter()
-                for loc_id, loc in before.locations.items():
-                    if loc.processing is not None and loc.processing.remaining_steps == 1:
-                        consumed.update(loc.contents)
-                        produced[loc.processing.output_item] += 1
-                served = Counter(
-                    e.dish for e in outcome.events if e.kind is EventKind.ORDER_COMPLETED
-                )
-                expected = item_census(before) + produced - consumed - served
-                assert item_census(after) == expected, (seed, before.step)
+                assert item_census(outcome.next_state) == expected_census(before, outcome), (seed, before.step)
 
     def test_order_accounting_every_step(self):
         for seed in range(10):
@@ -432,3 +439,72 @@ class TestSerialization:
         again = LevelConfig.from_json_dict(payload)
         assert again == level_1
         assert again.to_json_dict() == payload
+
+
+def scribble(state) -> None:
+    """Change every mutable part of ``state`` in place."""
+    for agent in state.agents.values():
+        agent.at, agent.holding = "nowhere", "junk"
+    for loc in state.locations.values():
+        loc.contents["junk"] += 1
+        if loc.processing is not None:
+            loc.processing.remaining_steps += 5
+        else:
+            loc.processing = Processing(9, "junk")
+    for order in state.orders:
+        order.lifetime += 7
+    state.orders.append(DishOrder("junk", 1, 0, 99))
+    state.completed_dishes.append("junk")
+    state.next_spawn_index += 1
+
+
+def _any_action(data, state, agent_id):
+    """A legal action, or any well-formed one (often illegal) on a known location."""
+    if data.draw(st.booleans()):
+        return data.draw(st.sampled_from(legal_actions(state, agent_id)))
+    location = data.draw(st.sampled_from(sorted(state.locations)))
+    items = sorted({item for loc in state.locations.values() for item in loc.contents} | {"junk"})
+    kind = data.draw(st.sampled_from([Goto, Get, Put, Activate, Noop]))
+    if kind is Noop:
+        return Noop(agent_id)
+    if kind is Get:
+        return Get(agent_id, location, data.draw(st.sampled_from(items)))
+    return kind(agent_id, location)
+
+
+class TestStepProperties:
+    """``step`` on random levels, rosters and joint actions, legal and illegal."""
+
+    @given(
+        level=st.one_of(st.sampled_from(sorted(BUILTIN_LEVELS)).map(get_level),
+                        st.integers(0, 400).map(random_level)),
+        agents=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+        steps=st.integers(1, 25),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_step_leaves_its_input_alone(self, level, agents, seed, steps, data):
+        state = load_level(level, agents, seed)
+        for _ in range(min(steps, level.max_steps)):
+            shared = state.copy()
+            assert shared == copy.deepcopy(state)
+            assert shared.config is state.config and shared.dish_schedule is state.dish_schedule
+
+            joint = {a: _any_action(data, state, a) for a in state.agent_ids()}
+            before = copy.deepcopy(state)
+            outcome = step(state, joint)
+            assert state == before
+            nxt = outcome.next_state
+            assert nxt.config is state.config
+            assert item_census(nxt) == expected_census(state, outcome)
+            assert order_accounting_ok(nxt)
+
+            fresh = step(state, joint).next_state
+            assert fresh == nxt
+            seen = observation_hash(state)
+            scribble(nxt)
+            scribble(shared)
+            assert observation_hash(state) == seen
+            assert state == before
+            state = fresh
