@@ -68,6 +68,21 @@ def random_level(seed: int) -> LevelConfig:
     return LevelConfig.from_json_dict(payload)
 
 
+def stretched_level(name: str, horizon: int) -> dict:
+    """JSON payload of a built-in level run to ``horizon`` steps, with one
+    unit of every stocked ingredient per scheduled order."""
+    from allocsim.levels import get_level
+
+    payload = get_level(name).to_json_dict()
+    payload["level_id"] = f"{name}_t{horizon}"
+    payload["max_steps"] = horizon
+    orders = len(range(0, horizon, payload["order_schedule"]["spawn_interval"]))
+    for loc in payload["locations"]:
+        if "stock" in loc:
+            loc["stock"] = {item: orders for item in loc["stock"]}
+    return payload
+
+
 def scripted_individual_episode(level: LevelConfig, agents: int, seed: int, budget: int | None = None):
     state = load_level(level, agents, seed)
     return run_episode(

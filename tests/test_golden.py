@@ -15,6 +15,8 @@ import pytest
 
 from allocsim.cli import main
 
+from conftest import stretched_level
+
 # joint actions for 2 agents on level_1, with a malformed reply, a
 # transient failure and, once the script runs out, exhaustion
 _ORCHESTRATOR_SCRIPT = [
@@ -40,6 +42,7 @@ KITCHEN_RUNS = {
     ("level_3", 2): "20d66aa3ec44827df90277adafb8833b9135872d65a12a609da632bc69e49a2c",
     ("level_3", 6): "5cc7ff44b209303eaaf690852dba60e46d4eb3dac99b278052eda304585e3ce2",
 }
+LONG_RUN = "3cd087c2a4d201ef64b809cdbd2464f20017494ff1a019b8c04aaa9302ad7cfb"
 MOCK_RUN = "e9856497bbeb386b4c99fd65c51f8a491a051465e7b4f424a762a64304cf264d"
 MOCK_WORKERS_RUN = "5c128ebe6e23393f6ce4d9344131c02917f53760847fdb021cd12d94dae759b2"
 MOCK_SWEEP_RUN = "c0810159e5464aed54d88baac0fc5685e8e89ca58bdbfde1ef929c1f7590949b"
@@ -125,6 +128,15 @@ def run_digest(argv, tmp_path, capsys) -> str:
 def test_kitchen_run_all_modes(level, agents, tmp_path, capsys):
     argv = ["kitchen-run", "--seed", "1", "--level", level, "--agents", str(agents), "--mode", "all"]
     assert run_digest(argv, tmp_path, capsys) == KITCHEN_RUNS[level, agents]
+
+
+def test_kitchen_run_long_horizon(tmp_path, capsys):
+    # T=480 covers what the stock T=60 levels do not: a long list of
+    # completed dishes and stock running down
+    level = tmp_path / "level.json"
+    level.write_text(json.dumps(stretched_level("level_3", 480)), encoding="utf-8")
+    argv = ["kitchen-run", "--seed", "1", "--level", str(level), "--agents", "3", "--mode", "all"]
+    assert run_digest(argv, tmp_path, capsys) == LONG_RUN
 
 
 def test_mock_orchestrator_and_planner(tmp_path, capsys):
