@@ -26,10 +26,15 @@ Each state is rendered once: the text of the state a step produces is the
 observation the next step's policies see, the prompt of a replan after
 that step, and the source of the step's trace ``observation_hash`` (and,
 after the last step, of the report's ``final_observation_hash``).
+
+Trace records are read-only. Within one episode, equal action results
+share one ``results`` dict and equal actions one text, so a record costs
+about the same at step 900 as at step 1.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -46,6 +51,7 @@ from .accounting import (
 )
 from .gateway import GatewayError
 from .kitchen import (
+    ActionResult,
     Activate,
     EventKind,
     Get,
@@ -283,7 +289,11 @@ class FallbackNote:
 
 @dataclass
 class EpisodeReport:
-    """One run of :func:`run_episode`; ``event_log`` holds only this run's events."""
+    """One run of :func:`run_episode`; ``event_log`` holds only this run's events.
+
+    ``trace`` holds one JSON-ready record per step. The records are
+    read-only: equal results share one dict and equal actions one text.
+    """
 
     mode: ControllerMode
     agent_count: int
@@ -376,6 +386,10 @@ def run_episode(
     replan_failures = 0
     planner_invocations = 0
     trace: list[dict[str, Any]] = []
+    # one text per distinct action and one dict per distinct result keep a
+    # long episode's trace small; the records are read-only
+    action_text = functools.cache(lambda action: action.to_text())
+    result_dict = functools.cache(ActionResult.to_json_dict)
 
     remaining = state.config.max_steps - state.step
     total_steps = remaining if budget is None else min(budget, remaining)
@@ -493,10 +507,8 @@ def run_episode(
         trace.append(
             {
                 "step": step_index,
-                "actions": {a: actions[a].to_text() for a in roster},
-                "results": {
-                    a: outcome.per_agent_result[a].to_json_dict() for a in roster
-                },
+                "actions": {a: action_text(actions[a]) for a in roster},
+                "results": {a: result_dict(outcome.per_agent_result[a]) for a in roster},
                 "events": [e.to_json_dict() for e in outcome.events],
                 "observation_hash": observation_text_hash(observation),
             }

@@ -25,7 +25,6 @@ carries no live RNG and identical inputs replay byte-identically.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import random
@@ -391,10 +390,36 @@ class KitchenState:
     completed_dishes: list[str]
 
     def copy(self) -> "KitchenState":
-        """Deep copy of the mutable state; the immutable level and dish
-        schedule are shared with the original, not copied."""
-        shared = {id(self.config): self.config, id(self.dish_schedule): self.dish_schedule}
-        return copy.deepcopy(self, shared)
+        """Copy of the mutable state, by hand, field by field.
+
+        The immutable ``config`` and ``dish_schedule`` are shared with the
+        original. Everything mutable is new: each agent, each location with
+        its ``contents`` Counter and its ``processing``, the ``orders`` list
+        and each order, and the ``completed_dishes`` list. ``copy.deepcopy``
+        stays on as the oracle in the tests, which hold this copy equal to
+        it and check that every field of the class is listed here.
+        """
+        return KitchenState(
+            config=self.config,
+            agents={aid: AgentState(a.id, a.at, a.holding) for aid, a in self.agents.items()},
+            locations={
+                lid: LocationState(
+                    loc.id,
+                    loc.kind,
+                    loc.tool_kind,
+                    Counter(loc.contents),
+                    None if loc.processing is None
+                    else Processing(loc.processing.remaining_steps, loc.processing.output_item),
+                )
+                for lid, loc in self.locations.items()
+            },
+            orders=[DishOrder(o.dish, o.lifetime, o.issued_at, o.ordinal) for o in self.orders],
+            step=self.step,
+            dish_schedule=self.dish_schedule,
+            next_spawn_index=self.next_spawn_index,
+            expired_count=self.expired_count,
+            completed_dishes=list(self.completed_dishes),
+        )
 
     @property
     def completed_count(self) -> int:

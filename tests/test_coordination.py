@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,7 @@ from allocsim.kitchen import (
     Get,
     Goto,
     KitchenEvent,
+    LevelConfig,
     Noop,
     load_level,
     observation_hash,
@@ -40,7 +44,7 @@ from allocsim.policies import (
     parse_plan_text,
 )
 
-from conftest import scripted_individual_episode, scripted_planner_episode
+from conftest import scripted_individual_episode, scripted_planner_episode, stretched_level
 
 ROSTER = ["agent0", "agent1"]
 LOCATIONS = ["storage0", "servingtable0", "blender0", "blender1"]
@@ -384,6 +388,25 @@ class TestRenderOnce:
         assert report.final_observation_hash == observation_hash(stepped[-1] if stepped else state)
         if mode is ControllerMode.PLANNER and budget == 25:
             assert report.planner_invocations > 1  # replans after a step, on that step's text
+
+
+class TestRetainedTrace:
+    def test_report_keeps_under_250_bytes_per_agent_step(self):
+        # per-step memory must stay flat over a long episode: the retained
+        # report costs a fixed, small amount per agent-step
+        level = LevelConfig.from_json_dict(stretched_level("level_3", 960))
+        scripted_individual_episode(level, 6, seed=1, budget=20)  # one-off allocations
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = scripted_individual_episode(level, 6, seed=1)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert report.steps == 960
+        assert retained / (report.steps * report.agent_count) < 250
 
 
 class TestScriptedPolicies:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import random
 from collections import Counter
 
@@ -18,6 +19,7 @@ from allocsim.kitchen import (
     Get,
     Goto,
     KitchenEvent,
+    KitchenState,
     EventKind,
     LevelConfig,
     MalformedLevel,
@@ -439,6 +441,42 @@ class TestSerialization:
         again = LevelConfig.from_json_dict(payload)
         assert again == level_1
         assert again.to_json_dict() == payload
+
+
+class TestCopy:
+    # every field KitchenState.copy handles; a new field fails here until
+    # both the copy and this list name it
+    FIELDS = {"config", "agents", "locations", "orders", "step", "dish_schedule",
+              "next_spawn_index", "expired_count", "completed_dishes"}
+
+    def test_copy_lists_every_field(self):
+        assert {f.name for f in dataclasses.fields(KitchenState)} == self.FIELDS
+
+    def test_copy_shares_only_the_immutable_level(self):
+        state = load_level(get_level("level_3"), 3, seed=1)
+        state.orders.append(DishOrder(state.dish_schedule[1], 5, 0, 1))
+        state.completed_dishes.append(state.dish_schedule[0])
+        for loc in state.locations.values():
+            if loc.tool_kind is not None:
+                loc.processing = Processing(2, "salmonPaste")
+        dup = state.copy()
+
+        assert dup == state
+        assert dup.config is state.config and dup.dish_schedule is state.dish_schedule
+        for name in ("agents", "locations", "orders", "completed_dishes"):
+            assert getattr(dup, name) is not getattr(state, name), name
+        for agent_id, agent in state.agents.items():
+            assert dup.agents[agent_id] is not agent
+        processing = 0
+        for loc_id, loc in state.locations.items():
+            twin = dup.locations[loc_id]
+            assert twin is not loc and twin.contents is not loc.contents
+            if loc.processing is not None:
+                assert twin.processing is not loc.processing
+                processing += 1
+        assert processing > 0
+        assert len(dup.orders) == 2
+        assert all(a is not b for a, b in zip(dup.orders, state.orders))
 
 
 def scribble(state) -> None:
