@@ -27,9 +27,9 @@ observation the next step's policies see, the prompt of a replan after
 that step, and the source of the step's trace ``observation_hash`` (and,
 after the last step, of the report's ``final_observation_hash``).
 
-Trace records are read-only. Within one episode, equal action results
-share one ``results`` dict and equal actions one text, so a record costs
-about the same at step 900 as at step 1.
+Trace records are read-only: within one episode, equal action results
+share one JSON dict and equal actions one text, so a record costs about
+the same at step 900 as at step 1.
 """
 
 from __future__ import annotations
@@ -386,8 +386,7 @@ def run_episode(
     replan_failures = 0
     planner_invocations = 0
     trace: list[dict[str, Any]] = []
-    # one text per distinct action and one dict per distinct result keep a
-    # long episode's trace small; the records are read-only
+    # equal values share one object, so a long trace stays small
     action_text = functools.cache(lambda action: action.to_text())
     result_dict = functools.cache(ActionResult.to_json_dict)
 
