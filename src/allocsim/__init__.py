@@ -39,18 +39,18 @@ from .assignment import (
 )
 from .coordination import (
     ControllerMode,
-    Directive,
     EpisodeReport,
     Plan,
     PolicyQuery,
     PolicyResponse,
+    WorkUnit,
     parse_action,
+    parse_plan_text,
     planner_replan,
     run_episode,
 )
 from .gateway import (
     CompletionResult,
-    Decoding,
     MockEntry,
     ModelBinding,
     complete,
@@ -67,7 +67,6 @@ from .kitchen import (
 )
 from .levels import BUILTIN_LEVELS, get_level
 from .policies import (
-    FixedScriptWorker,
     FlakyWorker,
     GatewayOrchestrator,
     GatewayPlanner,

@@ -109,19 +109,17 @@ class CostLedger:
         tokens_in: int,
         tokens_out: int,
         step: int,
-        allow_unpriced: bool = False,
     ) -> LedgerRow:
+        """Bill one call; a model without a price warns and is kept as an unpriced $0 row."""
         if tokens_in < 0 or tokens_out < 0:
             raise ValueError("token counts must be >= 0")
         if model_id in self.price_table:
             usd = self.price_table.usd_for(model_id, tokens_in, tokens_out)
             unpriced = False
-        elif allow_unpriced:
+        else:
             warnings.warn(f"model {model_id!r} has no price; contributing $0", stacklevel=2)
             usd = Fraction(0)
             unpriced = True
-        else:
-            raise KeyError(f"model {model_id!r} not in price table")
         row = LedgerRow(model_id, role, tokens_in, tokens_out, usd, step, unpriced)
         self.rows.append(row)
         return row

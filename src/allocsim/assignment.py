@@ -117,13 +117,6 @@ class CostMatrix:
     def to_json_dict(self) -> dict[str, Any]:
         return {"n": self.n, "values": [list(row) for row in self.values]}
 
-    @classmethod
-    def from_json_dict(cls, payload: dict[str, Any]) -> "CostMatrix":
-        m = cls.from_rows(payload["values"])
-        if "n" in payload and payload["n"] != m.n:
-            raise ValueError(f"declared n={payload['n']} does not match values ({m.n})")
-        return m
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -592,13 +585,5 @@ def dump_instances(instances: Iterable[CostMatrix]) -> str:
     return "[\n" + ",\n".join(blocks) + "\n]"
 
 
-def load_instances(text: str) -> list[CostMatrix]:
-    return [CostMatrix.from_json_dict(d) for d in json.loads(text)]
-
-
 def dump_candidates(candidates: Iterable[Candidate]) -> str:
     return json.dumps([c.to_json_dict() for c in candidates], indent=2, sort_keys=True)
-
-
-def load_candidates(text: str) -> list[Candidate]:
-    return [Candidate.from_json_dict(d) for d in json.loads(text)]

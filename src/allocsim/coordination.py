@@ -11,6 +11,12 @@ Three ways to drive the kitchen:
   expired); per-agent worker policies then act each step with their slice
   of the plan attached.
 
+A plan is written and read only here. :class:`Plan` holds each roster
+agent's directives, each a :class:`WorkUnit` or free text;
+:meth:`Plan.to_text` writes them as ``agentN: item; item`` lines, and
+:func:`parse_plan_text` reads such lines back without loss, whether the
+scripted planner or a model wrote them.
+
 Policies answer in free text. :func:`parse_action` extracts the last
 grammar match (``goto/get/put/activate/noop``) and validates ids;
 anything unparseable, any gateway failure, and any action naming the
@@ -46,7 +52,6 @@ from .accounting import (
     CapabilityProfile,
     CostLedger,
     EfficiencyReport,
-    PriceTable,
     efficiency,
 )
 from .gateway import GatewayError
@@ -76,35 +81,87 @@ class ControllerMode(Enum):
 
 
 @dataclass(frozen=True)
-class Directive:
-    """One work item for one agent: free text plus structured hints."""
+class WorkUnit:
+    """One schedulable piece of an order, and one item of a plan.
 
-    text: str
-    dish: str | None = None
-    recipe_step: int | None = None
-    order_ordinal: int | None = None
-    tool_id: str | None = None
-    deliver: bool = False
+    ``step_index`` is a recipe step to cook, or ``None`` for the delivery
+    leg; ``tool_id`` is the tool instance the item passes through.
+    """
 
-    @classmethod
-    def idle(cls) -> "Directive":
-        return cls(text="idle")
+    order_ordinal: int
+    dish: str
+    step_index: int | None
+    tool_id: str
+
+    def to_text(self) -> str:
+        if self.step_index is None:
+            return f"deliver {self.dish} (order {self.order_ordinal}) from {self.tool_id}"
+        return (
+            f"cook step {self.step_index} of {self.dish} "
+            f"(order {self.order_ordinal}) at {self.tool_id}"
+        )
+
+
+# a plan item: a work unit, or free text ("idle", or a line a model wrote)
+Directive = WorkUnit | str
+
+
+def directives_text(directives: Sequence[Directive]) -> str:
+    """One agent's plan items as its plan line writes them."""
+    return "; ".join(d if isinstance(d, str) else d.to_text() for d in directives)
 
 
 @dataclass(frozen=True)
 class Plan:
+    """Directives for every roster agent, written one ``agentN: item; item`` line each."""
+
     created_at: int
     directives: Mapping[str, tuple[Directive, ...]]
-
-    def for_agent(self, agent_id: str) -> tuple[Directive, ...]:
-        return self.directives.get(agent_id, (Directive.idle(),))
 
     def to_text(self) -> str:
         lines = [f"Plan (step {self.created_at}):"]
         for agent_id in sorted(self.directives):
-            items = "; ".join(d.text for d in self.directives[agent_id])
-            lines.append(f"{agent_id}: {items}")
+            lines.append(f"{agent_id}: {directives_text(self.directives[agent_id])}")
         return "\n".join(lines)
+
+
+_PLAN_LINE = re.compile(r"^\s*(agent\d+)\s*[:\-]\s*(.+?)\s*$", re.IGNORECASE | re.MULTILINE)
+_COUNT = r"(0|[1-9][0-9]*)"  # as ``str(int)`` writes it, so a read unit writes back the same text
+_UNIT_TEXT = re.compile(
+    rf"cook step {_COUNT} of (\S+) \(order {_COUNT}\) at (\S+)"
+    rf"|deliver (\S+) \(order {_COUNT}\) from (\S+)"
+)
+
+
+def _read_item(item: str) -> Directive:
+    match = _UNIT_TEXT.fullmatch(item)
+    if match is None:
+        return item
+    step, dish, order, tool, delivered, delivered_order, source = match.groups()
+    if step is None:
+        return WorkUnit(int(delivered_order), delivered, None, source)
+    return WorkUnit(int(order), dish, int(step), tool)
+
+
+def parse_plan_text(text: str, roster: Sequence[str]) -> dict[str, tuple[Directive, ...]] | None:
+    """Directives from ``agentN: item; item`` lines; None when no roster agent has one.
+
+    An item that is exactly a :meth:`WorkUnit.to_text` form reads back as
+    that unit and anything else stays free text, so the directives of a
+    plan survive ``parse_plan_text(plan.to_text(), roster)`` unchanged.
+    Prose lines are skipped, an agent's repeated lines add up, and a roster
+    agent without a line idles.
+    """
+    known = {a.lower(): a for a in roster}
+    collected: dict[str, list[Directive]] = {}
+    for match in _PLAN_LINE.finditer(text):
+        agent = known.get(match.group(1).lower())
+        if agent is not None:
+            items = match.group(2).split("; ")
+            collected.setdefault(agent, []).extend(_read_item(item) for item in items)
+    if not collected:
+        return None
+    return {a: tuple(collected.get(a, ["idle"])) for a in roster}
 
 
 @dataclass(frozen=True)
@@ -241,7 +298,7 @@ class ReplanOutcome:
 
 
 def _idle_plan(step_index: int, roster: Sequence[str]) -> Plan:
-    return Plan(created_at=step_index, directives={a: (Directive.idle(),) for a in roster})
+    return Plan(created_at=step_index, directives={a: ("idle",) for a in roster})
 
 
 def planner_replan(
@@ -356,7 +413,6 @@ def run_episode(
     central: Policy | None = None,
     planner: PlannerBackend | None = None,
     budget: int | None = None,
-    price_table: PriceTable | None = None,
     capability_block: str | None = None,
 ) -> EpisodeReport:
     """Run one episode under the given topology and return its report.
@@ -377,7 +433,7 @@ def run_episode(
     if mode is ControllerMode.PLANNER and planner is None:
         raise ValueError("planner mode needs a planner backend")
 
-    ledger = CostLedger(price_table)
+    ledger = CostLedger()
     profile = CapabilityProfile()
     histogram: Counter = Counter()
     policy_calls: Counter = Counter()
@@ -395,10 +451,7 @@ def run_episode(
 
     def record_billing(response: PolicyResponse, model_id: str, role: str, at_step: int) -> None:
         if response.tokens_in is not None and response.tokens_out is not None:
-            ledger.record_call(
-                model_id, role, response.tokens_in, response.tokens_out, at_step,
-                allow_unpriced=True,
-            )
+            ledger.record_call(model_id, role, response.tokens_in, response.tokens_out, at_step)
 
     def replan(events: Sequence[KitchenEvent]) -> None:
         nonlocal plan, planner_invocations, replan_failures
@@ -464,7 +517,7 @@ def run_episode(
                 acting_model[agent_id] = policy.model_id
                 directives = None
                 if mode is ControllerMode.PLANNER and plan is not None:
-                    directives = plan.for_agent(agent_id)
+                    directives = plan.directives[agent_id]
                 query = PolicyQuery(
                     observation=observation,
                     agent_id=agent_id,

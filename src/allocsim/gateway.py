@@ -57,12 +57,6 @@ class ModelBinding:
 
 
 @dataclass(frozen=True)
-class Decoding:
-    temperature: float = 0.0
-    max_tokens: int = 2048
-
-
-@dataclass(frozen=True)
 class CompletionResult:
     text: str
     tokens_in: int
@@ -74,14 +68,13 @@ class CompletionResult:
 Message = Mapping[str, str]
 
 
-def build_request_body(
-    binding: ModelBinding, messages: Sequence[Message], decoding: Decoding
-) -> bytes:
+def build_request_body(binding: ModelBinding, messages: Sequence[Message]) -> bytes:
+    """Greedy decoding: temperature 0.0, at most 2048 tokens out."""
     payload = {
         "model": binding.model_id,
         "messages": [{"role": m["role"], "content": m["content"]} for m in messages],
-        "temperature": decoding.temperature,
-        "max_tokens": decoding.max_tokens,
+        "temperature": 0.0,
+        "max_tokens": 2048,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -198,10 +191,6 @@ class MockTransport:
             "usage": {"input_tokens": entry.tokens_in, "output_tokens": entry.tokens_out},
         }
 
-    @property
-    def remaining(self) -> int:
-        return len(self._script) - self._index
-
 
 def install_mock(script: Iterable[MockEntry | Mapping[str, Any]]) -> MockTransport:
     """Build a mock transport from entries or plain dicts."""
@@ -217,7 +206,6 @@ def install_mock(script: Iterable[MockEntry | Mapping[str, Any]]) -> MockTranspo
 def complete(
     binding: ModelBinding,
     messages: Sequence[Message],
-    decoding: Decoding = Decoding(),
     transport: Transport | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> CompletionResult:
@@ -229,7 +217,7 @@ def complete(
     """
     if transport is None:
         transport = HttpTransport()
-    body = build_request_body(binding, messages, decoding)
+    body = build_request_body(binding, messages)
     start = time.monotonic()
     last_error: Exception | None = None
     for attempt in range(1, binding.max_retries + 2):

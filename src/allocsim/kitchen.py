@@ -26,7 +26,6 @@ carries no live RNG and identical inputs replay byte-identically.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -241,10 +240,6 @@ class LevelConfig:
             if isinstance(exc, MalformedLevel):
                 raise
             raise MalformedLevel(f"bad level config: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "LevelConfig":
-        return cls.from_json_dict(json.loads(text))
 
 
 # --- runtime state ----------------------------------------------------------

@@ -4,7 +4,7 @@ Three levels ship with the package, each exercising a different mechanic:
 a single-tool dish, a two-tool sequential recipe, and a mixture recipe
 that combines an intermediate with a second ingredient. Users supply
 their own corpora as JSON documents with the same schema (see
-:meth:`allocsim.kitchen.LevelConfig.from_json`).
+:meth:`allocsim.kitchen.LevelConfig.from_json_dict`).
 
 Storages are stocked at load with enough ingredients for every order an
 episode can spawn, so the item-conservation invariant holds without any

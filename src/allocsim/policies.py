@@ -9,17 +9,16 @@ Orders are ranked earliest-deadline-first throughout.
 
 In Individual and Orchestrator modes the oracle self-assigns whole orders
 round-robin by spawn ordinal; in Planner mode the scripted planner
-partitions work units round-robin across agents and scripted workers
-follow their directives. Decisions are pure functions of the state,
-which they only read, so scripted episodes replay bit-for-bit.
+partitions work units round-robin across agents, and scripted workers
+follow the work units among their directives, whichever planner wrote
+them. Decisions are pure functions of the state, which they only read,
+so scripted episodes replay bit-for-bit.
 """
 
 from __future__ import annotations
 
 import random
-import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
 
 from .coordination import (
@@ -28,8 +27,11 @@ from .coordination import (
     Policy,
     PolicyQuery,
     PolicyResponse,
+    WorkUnit,
+    directives_text,
+    parse_plan_text,
 )
-from .gateway import Decoding, ModelBinding, Transport, complete
+from .gateway import ModelBinding, Transport, complete
 from .kitchen import (
     Activate,
     DishOrder,
@@ -55,20 +57,6 @@ SCRIPTED_MODEL_ID = "scripted"
 
 def _edf_key(order: DishOrder) -> tuple[int, int, int]:
     return (order.lifetime, order.issued_at, order.ordinal)
-
-
-@dataclass(frozen=True)
-class WorkUnit:
-    """One schedulable piece of an order.
-
-    ``step_index`` is a recipe step to cook, or ``None`` for the delivery
-    leg; ``tool_id`` is the tool instance the item passes through.
-    """
-
-    order_ordinal: int
-    dish: str
-    step_index: int | None
-    tool_id: str
 
 
 def _tools_of_kind(state: KitchenState, tool_kind: str) -> list[str]:
@@ -310,17 +298,21 @@ def scripted_individual_action(state: KitchenState, agent_id: str) -> KitchenAct
 def _units_from_directives(
     state: KitchenState, directives: Sequence[Directive]
 ) -> list[WorkUnit]:
-    live_ordinals = {order.ordinal for order in state.orders}
-    units = []
-    for d in directives:
-        if d.dish is None or d.order_ordinal is None or d.tool_id is None:
-            continue
-        if d.order_ordinal not in live_ordinals:
-            continue  # that order completed or expired since the plan
-        units.append(
-            WorkUnit(d.order_ordinal, d.dish, None if d.deliver else d.recipe_step, d.tool_id)
-        )
-    return units
+    """The directives' work units on live orders, in plan order.
+
+    Free text is skipped, and so is a unit whose order completed or
+    expired since the plan, or which names a step or location the kitchen
+    does not have (a model can write any such unit).
+    """
+    live = {order.ordinal: order.dish for order in state.orders}
+    return [
+        d
+        for d in directives
+        if isinstance(d, WorkUnit)
+        and live.get(d.order_ordinal) == d.dish
+        and d.tool_id in state.locations
+        and (d.step_index is None or d.step_index < len(state.config.recipe_for(d.dish).steps))
+    ]
 
 
 class ScriptedWorker:
@@ -350,29 +342,6 @@ class ScriptedOrchestrator:
         return PolicyResponse(text="\n".join(lines))
 
 
-def _directive_from_unit(unit: WorkUnit) -> Directive:
-    if unit.step_index is None:
-        text = f"deliver {unit.dish} (order {unit.order_ordinal}) from {unit.tool_id}"
-        return Directive(
-            text=text,
-            dish=unit.dish,
-            order_ordinal=unit.order_ordinal,
-            tool_id=unit.tool_id,
-            deliver=True,
-        )
-    text = (
-        f"cook step {unit.step_index} of {unit.dish} "
-        f"(order {unit.order_ordinal}) at {unit.tool_id}"
-    )
-    return Directive(
-        text=text,
-        dish=unit.dish,
-        recipe_step=unit.step_index,
-        order_ordinal=unit.order_ordinal,
-        tool_id=unit.tool_id,
-    )
-
-
 class ScriptedPlanner:
     """Greedy plan: EDF orders expanded to units, dealt round-robin."""
 
@@ -394,30 +363,12 @@ class ScriptedPlanner:
         ]
         directives: dict[str, list[Directive]] = {a: [] for a in agents}
         for i, unit in enumerate(units):
-            directives[agents[i % len(agents)]].append(_directive_from_unit(unit))
+            directives[agents[i % len(agents)]].append(unit)
         for agent_id in agents:
             if not directives[agent_id]:
-                directives[agent_id].append(Directive.idle())
+                directives[agent_id].append("idle")
         plan = Plan(created_at=state.step, directives={a: tuple(ds) for a, ds in directives.items()})
         return plan, PolicyResponse(text=plan.to_text())
-
-
-class FixedScriptWorker:
-    """Replays a fixed list of action texts; noops when the list runs out."""
-
-    model_id = SCRIPTED_MODEL_ID
-
-    def __init__(self, action_texts: Sequence[str]):
-        self._texts = list(action_texts)
-        self._index = 0
-
-    def respond(self, query: PolicyQuery, state: KitchenState) -> PolicyResponse:
-        if self._index < len(self._texts):
-            text = self._texts[self._index]
-            self._index += 1
-        else:
-            text = f"noop({query.agent_id})"
-        return PolicyResponse(text=text)
 
 
 class FlakyWorker:
@@ -453,15 +404,9 @@ class _GatewayPolicy:
     because ``bench/tracer.py`` patches those methods class by class.
     """
 
-    def __init__(
-        self,
-        binding: ModelBinding,
-        transport: Transport | None = None,
-        decoding: Decoding = Decoding(),
-    ):
+    def __init__(self, binding: ModelBinding, transport: Transport | None = None):
         self.binding = binding
         self.transport = transport
-        self.decoding = decoding
         self.model_id = binding.model_id
 
     def _ask(self, system: str, user: str) -> PolicyResponse:
@@ -469,7 +414,7 @@ class _GatewayPolicy:
             {"role": "system", "content": system},
             {"role": "user", "content": user},
         ]
-        result = complete(self.binding, messages, self.decoding, self.transport)
+        result = complete(self.binding, messages, self.transport)
         return PolicyResponse(result.text, result.tokens_in, result.tokens_out)
 
 
@@ -479,7 +424,7 @@ class GatewayWorker(_GatewayPolicy):
     def respond(self, query: PolicyQuery, state: KitchenState) -> PolicyResponse:
         directive_text = None
         if query.directives:
-            directive_text = "; ".join(d.text for d in query.directives)
+            directive_text = directives_text(query.directives)
         return self._ask(
             WORKER_SYSTEM, worker_prompt(query.observation, directive_text, query.agent_id)
         )
@@ -494,30 +439,12 @@ class GatewayOrchestrator(_GatewayPolicy):
         )
 
 
-_DIRECTIVE_LINE = re.compile(r"^\s*(agent\d+)\s*[:\-]\s*(.+?)\s*$", re.IGNORECASE | re.MULTILINE)
-
-
-def parse_plan_text(text: str, roster: Sequence[str]) -> dict[str, tuple[Directive, ...]] | None:
-    """Directives from 'agentN: ...' lines; None when no agent line parses."""
-    known = {a.lower(): a for a in roster}
-    collected: dict[str, list[Directive]] = {}
-    for match in _DIRECTIVE_LINE.finditer(text):
-        agent = known.get(match.group(1).lower())
-        if agent is None:
-            continue
-        collected.setdefault(agent, []).append(Directive(text=match.group(2)))
-    if not collected:
-        return None
-    directives = {
-        a: tuple(collected.get(a, [Directive.idle()])) for a in roster
-    }
-    return directives
-
-
 class GatewayPlanner(_GatewayPolicy):
     """Planner backed by a chat-completion endpoint.
 
-    Unparseable plans return ``None`` so the episode keeps its prior plan.
+    Its reply is read by :func:`~allocsim.coordination.parse_plan_text`, so
+    the work units it writes direct scripted workers. Unparseable plans
+    return ``None`` so the episode keeps its prior plan.
     """
 
     def plan(

@@ -33,7 +33,6 @@ from allocsim.gateway import MockEntry, ModelBinding, install_mock
 from allocsim.kitchen import load_level, order_accounting_ok, step
 from allocsim.levels import get_level
 from allocsim.policies import (
-    FixedScriptWorker,
     FlakyWorker,
     GatewayWorker,
     ScriptedPlanner,
@@ -42,7 +41,7 @@ from allocsim.policies import (
 )
 from allocsim.seeding import derive_seed
 
-from conftest import random_level, scripted_individual_episode, scripted_planner_episode
+from conftest import FixedScriptWorker, random_level, scripted_individual_episode, scripted_planner_episode
 
 
 def ok(criterion: int, message: str) -> None:

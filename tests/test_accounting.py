@@ -58,14 +58,10 @@ class TestLedger:
         with pytest.raises(ValueError):
             ledger.record_call("gpt-4o", "planner", -1, 0, step=0)
 
-    def test_unpriced_requires_flag(self):
+    def test_unpriced_model_warns_and_bills_zero(self):
         ledger = CostLedger()
-        with pytest.raises(KeyError):
-            ledger.record_call("martian-1", "worker:agent0", 10, 10, step=0)
         with pytest.warns(UserWarning):
-            row = ledger.record_call(
-                "martian-1", "worker:agent0", 10, 10, step=0, allow_unpriced=True
-            )
+            row = ledger.record_call("martian-1", "worker:agent0", 10, 10, step=0)
         assert row.usd == 0
         assert row.unpriced
 

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from conftest import read_candidates, read_instances
+
 from allocsim import assignment
 from allocsim.assignment import (
     Assignment,
@@ -26,8 +28,6 @@ from allocsim.assignment import (
     dump_instances,
     generate_instance,
     hungarian_solve,
-    load_candidates,
-    load_instances,
     parse_candidate_text,
     score_batch,
     validate,
@@ -573,8 +573,8 @@ class TestParsingAndSerialization:
     def test_instances_round_trip(self):
         instances = [generate_instance(3, seed=s, lo=0, hi=9) for s in range(3)]
         text = dump_instances(instances)
-        assert load_instances(text) == instances
-        assert dump_instances(load_instances(text)) == text
+        assert read_instances(text) == instances
+        assert dump_instances(read_instances(text)) == text
 
     @pytest.mark.parametrize(
         "rows",
@@ -594,7 +594,7 @@ class TestParsingAndSerialization:
         expected = json.dumps([m.to_json_dict() for m in instances], indent=2, sort_keys=True)
         assert dump_instances(instances) == expected
         assert dump_instances(iter(instances)) == expected
-        assert load_instances(expected) == instances
+        assert read_instances(expected) == instances
 
     def test_instances_text_of_array_built_matrices(self):
         rng = np.random.default_rng(13)
@@ -607,7 +607,7 @@ class TestParsingAndSerialization:
         for instances in batches:
             expected = json.dumps([m.to_json_dict() for m in instances], indent=2, sort_keys=True)
             assert dump_instances(instances) == expected
-            assert load_instances(expected) == instances
+            assert read_instances(expected) == instances
 
     def test_numpy_scalar_entries_are_not_json(self):
         with pytest.raises(TypeError):
@@ -629,4 +629,4 @@ class TestParsingAndSerialization:
             Candidate(None, None, "garbage"),
         ]
         text = dump_candidates(candidates)
-        assert load_candidates(text) == candidates
+        assert read_candidates(text) == candidates

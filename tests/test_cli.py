@@ -2,21 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allocsim import assignment as asg
-from allocsim.assignment import (
-    brute_force_solve,
-    generate_instance,
-    load_candidates,
-    load_instances,
-)
+from allocsim.assignment import brute_force_solve, generate_instance
 from allocsim.cli import build_parser, main
 from allocsim.levels import get_level
 from allocsim.seeding import derive_seed
+
+from conftest import random_level, read_candidates, read_instances
 
 
 def read_json(path: Path):
@@ -62,8 +64,8 @@ class TestAssignEval:
         code = main(["assign-eval", "--seed", str(seed), "--instances", "100",
                      "--allocator", "greedy", "--output", str(out)])
         assert code == 0
-        instances = load_instances((out / "instances.json").read_text())
-        candidates = load_candidates((out / "candidates.json").read_text())
+        instances = read_instances((out / "instances.json").read_text())
+        candidates = read_candidates((out / "candidates.json").read_text())
         expected_hits = 0
         for matrix, candidate in zip(instances, candidates):
             optimal = brute_force_solve(matrix)
@@ -76,7 +78,7 @@ class TestAssignEval:
         out = tmp_path / "run"
         main(["assign-eval", "--seed", "21", "--instances", "2", "--n-min", "3",
               "--n-max", "3", "--allocator", "hungarian", "--output", str(out)])
-        instances = load_instances((out / "instances.json").read_text())
+        instances = read_instances((out / "instances.json").read_text())
         assert instances[0] == generate_instance(3, derive_seed(21, "instance", 0), 0, 99)
 
     def test_artifact_bytes_round_trip(self, tmp_path):
@@ -103,7 +105,7 @@ class TestAssignEval:
         code = main(["assign-eval", "--seed", "5", "--instances", "3",
                      "--allocator", "hungarian", "--output", str(out)])
         assert code == 0
-        assert calls == load_instances((out / "instances.json").read_text())
+        assert calls == read_instances((out / "instances.json").read_text())
         assert read_json(out / "score.json")["accuracy"] == 1.0
 
     def test_config_error_exit_code(self, tmp_path):
@@ -200,6 +202,25 @@ class TestKitchenRun:
                      "--output", str(tmp_path / "kr")]) == 0
 
 
+def _flip_first_result(record: dict) -> None:
+    result = record["results"][min(record["results"])]
+    result["ok"] = not result["ok"]
+
+
+def _garble_first_action(record: dict) -> None:
+    agent = min(record["actions"])
+    record["actions"][agent] = f"teleport({agent}"  # no parser reads it, so replay acts a noop
+
+
+# one-field changes of a step record, by the field ``replay`` must name
+_STEP_MUTATIONS = {
+    "actions": _garble_first_action,
+    "results": _flip_first_result,
+    "events": lambda r: r["events"].append({"kind": "order_completed", "dish": "phantom", "step": r["step"]}),
+    "observation_hash": lambda r: r.update(observation_hash="0" * 64),
+}
+
+
 class TestReplay:
     def test_replay_matches(self, tmp_path):
         out = tmp_path / "kr"
@@ -234,6 +255,30 @@ class TestReplay:
 
     def test_replay_missing_file(self, tmp_path):
         assert main(["replay", "--trace", str(tmp_path / "nope.jsonl")]) == 2
+
+    @given(level_seed=st.integers(0, 10**6), agents=st.integers(1, 6),
+           mode=st.sampled_from(["individual", "orchestrator", "planner"]),
+           pick=st.integers(0, 10**6), field=st.sampled_from(sorted(_STEP_MUTATIONS)))
+    @settings(max_examples=30, deadline=None)
+    def test_random_level_trace_replays_and_names_a_mutated_field(self, level_seed, agents, mode, pick, field):
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out:
+            level = Path(tmp) / "level.json"
+            level.write_text(json.dumps(random_level(level_seed).to_json_dict()), encoding="utf-8")
+            trace = Path(tmp) / "run" / "trace.jsonl"
+            assert main(["kitchen-run", "--seed", str(level_seed), "--level", str(level), "--agents", str(agents),
+                         "--mode", mode, "--output", str(trace.parent)]) == 0
+            assert main(["replay", "--trace", str(trace)]) == 0
+
+            lines = trace.read_text(encoding="utf-8").splitlines()
+            index = 1 + pick % (len(lines) - 1)
+            record = json.loads(lines[index])
+            _STEP_MUTATIONS[field](record)
+            lines[index] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+            trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            out.truncate(0)
+            out.seek(0)
+            assert main(["replay", "--trace", str(trace)]) == 1
+        assert out.getvalue().splitlines()[0] == f"replay: mismatch at step {record['step']}: {field}"
 
 
 class TestCapabilitySweep:

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from allocsim import coordination, kitchen
 from allocsim.coordination import (
     ControllerMode,
-    Directive,
     Plan,
     format_event,
     parse_action,
     parse_joint_actions,
+    parse_plan_text,
     planner_replan,
     run_episode,
 )
@@ -33,7 +33,6 @@ from allocsim.kitchen import (
 )
 from allocsim.levels import get_level
 from allocsim.policies import (
-    FixedScriptWorker,
     FlakyWorker,
     GatewayOrchestrator,
     GatewayPlanner,
@@ -41,10 +40,9 @@ from allocsim.policies import (
     ScriptedOrchestrator,
     ScriptedPlanner,
     ScriptedWorker,
-    parse_plan_text,
 )
 
-from conftest import scripted_individual_episode, scripted_planner_episode, stretched_level
+from conftest import FixedScriptWorker, scripted_individual_episode, scripted_planner_episode, stretched_level
 
 ROSTER = ["agent0", "agent1"]
 LOCATIONS = ["storage0", "servingtable0", "blender0", "blender1"]
@@ -150,7 +148,7 @@ class TestPlannerReplan:
         plan = outcome.plan
         assert not outcome.failed
         for agent_id in ("agent0", "agent1"):
-            directives = plan.for_agent(agent_id)
+            directives = plan.directives[agent_id]
             assert directives and directives[0].dish == "salmonMeatcake"
         # run_episode hands the initial replan the step-0 introduction
         report = scripted_planner_episode(level_1, 2, seed=0, budget=0)
@@ -184,7 +182,7 @@ class TestPlannerReplan:
                 return None, PolicyResponse(text="nonsense")
 
         state = load_level(level_1, 1, seed=0)
-        prior = Plan(0, {"agent0": (Directive(text="keep me"),)})
+        prior = Plan(0, {"agent0": ("keep me",)})
         outcome = planner_replan(
             "obs", (), prior, ["agent0"], BrokenPlanner(), state
         )
@@ -203,7 +201,7 @@ class TestPlannerReplan:
         state = load_level(level_1, 1, seed=0)
         outcome = planner_replan("obs", (), None, ["agent0"], BrokenPlanner(), state)
         assert outcome.failed
-        assert outcome.plan.for_agent("agent0")[0].text == "idle"
+        assert outcome.plan.directives == {"agent0": ("idle",)}
 
     def test_capability_block_embedded_when_given(self, level_1):
         state = load_level(level_1, 1, seed=0)
@@ -438,8 +436,7 @@ class TestScriptedPolicies:
         text = "Here is the plan:\nagent0: fetch salmon\nagent1: deliver the dish\n"
         directives = parse_plan_text(text, ["agent0", "agent1"])
         assert directives is not None
-        assert directives["agent0"][0].text == "fetch salmon"
-        assert directives["agent1"][0].text == "deliver the dish"
+        assert directives == {"agent0": ("fetch salmon",), "agent1": ("deliver the dish",)}
 
     def test_parse_plan_text_requires_agent_lines(self):
         assert parse_plan_text("no directives at all", ["agent0"]) is None

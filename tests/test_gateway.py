@@ -11,7 +11,6 @@ import pytest
 
 from allocsim.gateway import (
     AuthMissing,
-    Decoding,
     GatewayError,
     HttpTransport,
     MalformedResponse,
@@ -60,26 +59,20 @@ class TestComplete:
         binding = ModelBinding(model_id="m", max_retries=2)
         with pytest.raises(RetriesExhausted):
             complete(binding, MESSAGES, transport=transport, sleep=no_sleep)
-        assert transport.remaining == 2  # 1 + 2 retries consumed
+        assert len(transport.requests) == 3  # 1 + 2 retries consumed
 
     def test_malformed_response_surfaces_immediately(self):
         transport = install_mock([MockEntry(malformed=True), MockEntry(text="never")])
         with pytest.raises(MalformedResponse):
             complete(BINDING, MESSAGES, transport=transport, sleep=no_sleep)
-        assert transport.remaining == 1  # no retry on malformed
+        assert len(transport.requests) == 1  # no retry on malformed
 
     def test_greedy_decoding_request_fields(self):
         transport = install_mock([{"text": "x", "tokens_in": 1, "tokens_out": 1}])
-        complete(
-            BINDING,
-            MESSAGES,
-            decoding=Decoding(temperature=0, max_tokens=2048),
-            transport=transport,
-            sleep=no_sleep,
-        )
+        complete(BINDING, MESSAGES, transport=transport, sleep=no_sleep)
+        assert b'"max_tokens":2048,"messages":' in transport.requests[0]
+        assert transport.requests[0].endswith(b'"temperature":0.0}')
         body = json.loads(transport.requests[0])
-        assert body["temperature"] == 0
-        assert body["max_tokens"] == 2048
         assert body["model"] == "gpt-4o-mini"
         assert body["messages"] == [{"role": "user", "content": "act"}]
 
@@ -103,8 +96,8 @@ class TestMockTransport:
 
 class TestRequestBodies:
     def test_byte_stable(self):
-        a = build_request_body(BINDING, MESSAGES, Decoding())
-        b = build_request_body(BINDING, MESSAGES, Decoding())
+        a = build_request_body(BINDING, MESSAGES)
+        b = build_request_body(BINDING, MESSAGES)
         assert a == b
 
     def test_normalize_variants(self):
@@ -176,7 +169,7 @@ class TestHttpTransport:
         server, binding = endpoint
         reply = {"text": "noop(agent0)", "usage": {"input_tokens": 3, "output_tokens": 1}}
         server.reply = (200, json.dumps(reply).encode())
-        body = build_request_body(binding, MESSAGES, Decoding())
+        body = build_request_body(binding, MESSAGES)
         assert HttpTransport().send(binding, body) == reply
         [(headers, sent)] = server.seen
         assert sent == body

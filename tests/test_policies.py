@@ -12,7 +12,6 @@ from allocsim.gateway import MockEntry, ModelBinding, install_mock
 from allocsim.kitchen import Activate, Get, Goto, Noop, Put, load_level, step
 from allocsim.levels import get_level
 from allocsim.policies import (
-    FixedScriptWorker,
     FlakyWorker,
     GatewayOrchestrator,
     GatewayPlanner,
@@ -27,7 +26,7 @@ from allocsim.policies import (
 )
 from allocsim.seeding import derive_seed
 
-from conftest import random_level
+from conftest import FixedScriptWorker, random_level
 
 
 class TestSeeding:
@@ -130,17 +129,16 @@ class TestPlannerPartition:
         state = load_level(get_level("level_2"), 2, seed=0)
         plan, _ = ScriptedPlanner().plan("p", state, state.agent_ids(), None, ())
         # one live order, 2 cook steps + delivery = 3 units over 2 agents
-        a0 = plan.for_agent("agent0")
-        a1 = plan.for_agent("agent1")
-        assert [d.recipe_step for d in a0] == [0, None]
-        assert a0[1].deliver
-        assert [d.recipe_step for d in a1] == [1]
+        a0 = plan.directives["agent0"]
+        a1 = plan.directives["agent1"]
+        assert [d.step_index for d in a0] == [0, None]  # None: the delivery leg
+        assert [d.step_index for d in a1] == [1]
 
     def test_idle_directive_when_no_work(self, level_1):
         state = load_level(level_1, 3, seed=0)
         state.orders.clear()
         plan, _ = ScriptedPlanner().plan("p", state, state.agent_ids(), None, ())
-        assert all(plan.for_agent(a)[0].text == "idle" for a in state.agent_ids())
+        assert all(plan.directives[a] == ("idle",) for a in state.agent_ids())
 
     def test_followers_skip_dead_orders(self, level_1):
         state = load_level(level_1, 1, seed=0)
@@ -150,7 +148,7 @@ class TestPlannerPartition:
         from allocsim.coordination import PolicyQuery
 
         query = PolicyQuery(
-            observation="obs", agent_id="agent0", directives=plan.for_agent("agent0")
+            observation="obs", agent_id="agent0", directives=plan.directives["agent0"]
         )
         response = worker.respond(query, state)
         assert response.text == "noop(agent0)"
@@ -199,7 +197,7 @@ class TestReadOnlyContract:
         calls = []
         for agent_id in state.agent_ids():
             bare = PolicyQuery(observation="obs", agent_id=agent_id)
-            directed = PolicyQuery("obs", agent_id, plan.for_agent(agent_id))
+            directed = PolicyQuery("obs", agent_id, plan.directives[agent_id])
             calls += [
                 (ScriptedWorker(), bare),
                 (ScriptedWorker(), directed),
