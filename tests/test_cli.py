@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 from allocsim import assignment as asg
 from allocsim.assignment import brute_force_solve, generate_instance
 from allocsim.cli import build_parser, main
+from allocsim.coordination import parse_action
+from allocsim.kitchen import EpisodeOver, LevelConfig, Noop, load_level, observation_hash
+from allocsim.kitchen import step as kitchen_step
 from allocsim.levels import get_level
 from allocsim.seeding import derive_seed
 
@@ -208,8 +211,7 @@ def _flip_first_result(record: dict) -> None:
 
 
 def _garble_first_action(record: dict) -> None:
-    agent = min(record["actions"])
-    record["actions"][agent] = f"teleport({agent}"  # no parser reads it, so replay acts a noop
+    record["actions"]["agent0"] = "teleport(agent0"  # no parser reads it, so replay acts a noop
 
 
 # one-field changes of a step record, by the field ``replay`` must name
@@ -219,6 +221,94 @@ _STEP_MUTATIONS = {
     "events": lambda r: r["events"].append({"kind": "order_completed", "dish": "phantom", "step": r["step"]}),
     "observation_hash": lambda r: r.update(observation_hash="0" * 64),
 }
+
+
+def reference_replay(trace: Path) -> int:
+    """``replay`` as its own step loop, kept as the oracle for well-formed traces.
+
+    Each record's action texts are parsed (a missing, unparseable or
+    misaddressed text is a noop), the joint action is stepped, and the
+    outcome is compared field by field with the record.
+    """
+    lines = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines() if line.strip()]
+    header = lines[0]
+    state = load_level(LevelConfig.from_json_dict(header["level"]), int(header["agent_count"]), int(header["seed"]))
+    roster = state.agent_ids()
+    location_ids = sorted(state.locations)
+
+    mismatches = 0
+    for record in lines[1:]:
+        texts = record.get("actions", {})
+        actions = {}
+        for agent in roster:
+            parsed = parse_action(texts.get(agent, ""), roster, location_ids)
+            actions[agent] = parsed if parsed is not None and parsed.agent == agent else Noop(agent)
+        try:
+            outcome = kitchen_step(state, actions)
+        except EpisodeOver:
+            print(f"replay: step {record.get('step')} exceeds the episode length")
+            return 1
+        state = outcome.next_state
+        replayed = {
+            "actions": {agent: action.to_text() for agent, action in actions.items()},
+            "results": {agent: outcome.per_agent_result[agent].to_json_dict() for agent in roster},
+            "events": [e.to_json_dict() for e in outcome.events],
+            "observation_hash": observation_hash(state),
+        }
+        diverged = next((key for key, value in replayed.items() if record.get(key) != value), None)
+        if diverged is not None:
+            mismatches += 1
+            print(f"replay: mismatch at step {record.get('step')}: {diverged}")
+    if mismatches:
+        print(f"replay: FAILED with {mismatches} mismatching steps")
+        return 1
+    print(f"replay: OK, {len(lines) - 1} steps verified")
+    return 0
+
+
+def _random_trace(tmp: Path, level_seed: int, agents: int, mode: str) -> Path:
+    """The trace of a full-length ``kitchen-run`` on ``random_level(level_seed)``."""
+    level = tmp / "level.json"
+    level.write_text(json.dumps(random_level(level_seed).to_json_dict()), encoding="utf-8")
+    trace = tmp / "run" / "trace.jsonl"
+    assert main(["kitchen-run", "--seed", str(level_seed), "--level", str(level), "--agents", str(agents),
+                 "--mode", mode, "--output", str(trace.parent)]) == 0
+    return trace
+
+
+def _edit_trace(trace: Path, edit) -> None:
+    """Rewrite ``trace`` after ``edit`` changed its list of step records in place."""
+    header, *records = trace.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in records]
+    edit(records)
+    lines = [header, *(json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records)]
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _append_past_end(records: list, pick: int) -> None:
+    last = records[-1] if records else {"actions": {}}
+    for i in range(1 + pick % 3):
+        records.append({**json.loads(json.dumps(last)), "step": len(records)})
+
+
+def _drop_agent(records: list, pick: int) -> None:
+    actions = records[pick % len(records)]["actions"]
+    if actions:
+        del actions[sorted(actions)[pick % len(actions)]]
+
+
+# trace edits for the differential test: (step records, pick) -> None
+_TRACE_MUTATIONS = {
+    **{field: (lambda records, pick, mutate=mutate: mutate(records[pick % len(records)]))
+       for field, mutate in _STEP_MUTATIONS.items()},
+    "drop-agent": _drop_agent,
+    "unknown-agent": lambda records, pick: records[pick % len(records)]["actions"].update(
+        {f"agent{6 + pick % 3}": "goto(agent0, storage0)"}),
+    "step": lambda records, pick: records[pick % len(records)].update(step=pick % 100),
+    "append-past-end": _append_past_end,
+    "truncate": lambda records, pick: records.__delitem__(slice(pick % (len(records) + 1), None)),
+}
+_EMPTY_OK = {"append-past-end", "truncate"}
 
 
 class TestReplay:
@@ -256,17 +346,59 @@ class TestReplay:
     def test_replay_missing_file(self, tmp_path):
         assert main(["replay", "--trace", str(tmp_path / "nope.jsonl")]) == 2
 
+    def _level_1_trace(self, tmp_path, agents):
+        trace = tmp_path / "kr" / "trace.jsonl"
+        assert main(["kitchen-run", "--seed", "5", "--level", "level_1", "--agents", str(agents),
+                     "--mode", "individual", "--output", str(trace.parent)]) == 0
+        return trace
+
+    def test_records_past_the_episode_end(self, tmp_path, capsys):
+        trace = self._level_1_trace(tmp_path, 1)
+
+        def tamper_and_extend(records):
+            assert len(records) == get_level("level_1").max_steps
+            records[9]["observation_hash"] = "0" * 64
+            _append_past_end(records, 1)
+
+        _edit_trace(trace, tamper_and_extend)
+        capsys.readouterr()
+        assert main(["replay", "--trace", str(trace)]) == 1
+        # the mismatches come first, then the first record past the end; no FAILED summary
+        assert capsys.readouterr().out == (
+            "replay: mismatch at step 9: observation_hash\n"
+            "replay: step 60 exceeds the episode length\n"
+        )
+
+    def test_header_only_trace(self, tmp_path, capsys):
+        trace = self._level_1_trace(tmp_path, 2)
+        _edit_trace(trace, list.clear)
+        capsys.readouterr()
+        assert main(["replay", "--trace", str(trace)]) == 0
+        assert capsys.readouterr().out == "replay: OK, 0 steps verified\n"
+
+    def test_missing_agent_action_is_a_noop(self, tmp_path, capsys):
+        trace = self._level_1_trace(tmp_path, 2)
+
+        def drop_agent1(records):
+            assert records[0]["actions"]["agent1"] == "noop(agent1)"
+            del records[0]["actions"]["agent1"]
+
+        _edit_trace(trace, drop_agent1)
+        capsys.readouterr()
+        assert main(["replay", "--trace", str(trace)]) == 1
+        # agent1 noops as recorded, so only the action texts differ and later steps match
+        assert capsys.readouterr().out == (
+            "replay: mismatch at step 0: actions\n"
+            "replay: FAILED with 1 mismatching steps\n"
+        )
+
     @given(level_seed=st.integers(0, 10**6), agents=st.integers(1, 6),
            mode=st.sampled_from(["individual", "orchestrator", "planner"]),
            pick=st.integers(0, 10**6), field=st.sampled_from(sorted(_STEP_MUTATIONS)))
     @settings(max_examples=30, deadline=None)
     def test_random_level_trace_replays_and_names_a_mutated_field(self, level_seed, agents, mode, pick, field):
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out:
-            level = Path(tmp) / "level.json"
-            level.write_text(json.dumps(random_level(level_seed).to_json_dict()), encoding="utf-8")
-            trace = Path(tmp) / "run" / "trace.jsonl"
-            assert main(["kitchen-run", "--seed", str(level_seed), "--level", str(level), "--agents", str(agents),
-                         "--mode", mode, "--output", str(trace.parent)]) == 0
+            trace = _random_trace(Path(tmp), level_seed, agents, mode)
             assert main(["replay", "--trace", str(trace)]) == 0
 
             lines = trace.read_text(encoding="utf-8").splitlines()
@@ -279,6 +411,26 @@ class TestReplay:
             out.seek(0)
             assert main(["replay", "--trace", str(trace)]) == 1
         assert out.getvalue().splitlines()[0] == f"replay: mismatch at step {record['step']}: {field}"
+
+    @given(level_seed=st.integers(0, 10**6), agents=st.integers(1, 6),
+           mode=st.sampled_from(["individual", "orchestrator", "planner"]),
+           edits=st.lists(st.tuples(st.sampled_from(sorted(_TRACE_MUTATIONS)), st.integers(0, 10**6)), max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_replay_agrees_with_reference_replay(self, level_seed, agents, mode, edits):
+        def mutate(records):
+            for name, pick in edits:
+                if records or name in _EMPTY_OK:
+                    _TRACE_MUTATIONS[name](records, pick)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(io.StringIO()):
+                trace = _random_trace(Path(tmp), level_seed, agents, mode)
+            _edit_trace(trace, mutate)
+            with contextlib.redirect_stdout(io.StringIO()) as expected:
+                expected_code = reference_replay(trace)
+            with contextlib.redirect_stdout(io.StringIO()) as actual:
+                code = main(["replay", "--trace", str(trace)])
+        assert (code, actual.getvalue()) == (expected_code, expected.getvalue())
 
 
 class TestCapabilitySweep:
