@@ -96,7 +96,11 @@ class LedgerRow:
 
 
 class CostLedger:
-    """Append-only record of model calls with exact dollar arithmetic."""
+    """Append-only record of model calls with exact dollar arithmetic.
+
+    The program always bills at :func:`default_price_table`; ``price_table``
+    lets a test price made-up models (``TestLedgerOracle``).
+    """
 
     def __init__(self, price_table: PriceTable | None = None):
         self.price_table = price_table or default_price_table()

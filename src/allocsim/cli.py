@@ -9,8 +9,9 @@ Subcommands:
   reports;
 * ``capability-sweep`` -- paired on-the-fly vs informed planner runs over
   a worker roster, sharing seeds;
-* ``replay`` -- re-execute a trace file and verify that every step's
-  actions, results, events and observation hash match the recording.
+* ``replay`` -- re-run the episode loop on a trace file's action texts
+  and verify that every step's actions, results, events and observation
+  hash match the recording.
 
 Runs are configured by a JSON file (``--config``) with per-flag keys;
 explicit flags win over the file. All randomness derives from the single
@@ -37,25 +38,16 @@ import numpy as np
 
 from . import assignment as asg
 from .accounting import capability_hint
-from .coordination import ControllerMode, EpisodeReport, parse_action, run_episode
+from .coordination import ControllerMode, EpisodeReport, run_episode
 from .gateway import ModelBinding, install_mock
-from .kitchen import (
-    MAX_AGENTS,
-    MIN_AGENTS,
-    EpisodeOver,
-    LevelConfig,
-    MalformedLevel,
-    Noop,
-    load_level,
-    observation_hash,
-    step as kitchen_step,
-)
+from .kitchen import MAX_AGENTS, MIN_AGENTS, LevelConfig, MalformedLevel, load_level
 from .levels import BUILTIN_LEVELS, get_level
 from .policies import (
     FlakyWorker,
     GatewayOrchestrator,
     GatewayPlanner,
     GatewayWorker,
+    RecordedWorker,
     ScriptedOrchestrator,
     ScriptedPlanner,
     ScriptedWorker,
@@ -410,6 +402,10 @@ def cmd_kitchen_run(args: argparse.Namespace) -> int:
 # --- replay ----------------------------------------------------------------------
 
 
+# the fields of a step record replay compares, in the order it names them
+_REPLAYED = ("actions", "results", "events", "observation_hash")
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
     trace_path = Path(args.trace)
     if not trace_path.exists():
@@ -421,7 +417,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise ConfigError(f"trace file {trace_path} is not JSON lines: {exc}")
     if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "trace_header":
         raise ConfigError("trace file lacks a header record")
-    header = lines[0]
+    header, records = lines[0], lines[1:]
     try:
         level = LevelConfig.from_json_dict(header["level"])
         state = load_level(level, int(header["agent_count"]), int(header["seed"]))
@@ -429,42 +425,32 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise ConfigError(f"trace header lacks {exc}")
     except (TypeError, ValueError) as exc:  # a malformed level, agent count or seed
         raise ConfigError(f"trace header: {exc}")
-    for number, record in enumerate(lines[1:], start=1):
+    for number, record in enumerate(records, start=1):
         texts = record.get("actions", {}) if isinstance(record, dict) else None
         if not isinstance(texts, dict) or not all(isinstance(t, str) for t in texts.values()):
             raise ConfigError(f"trace step record {number} is not an object with an 'actions' object of strings")
 
-    roster = state.agent_ids()
-    location_ids = sorted(state.locations)
-
+    # a missing text is unparseable, so that agent noops; the episode stops
+    # at the level's max_steps however many records follow
+    workers = {
+        agent: RecordedWorker([record.get("actions", {}).get(agent, "") for record in records])
+        for agent in state.agent_ids()
+    }
+    report = run_episode(ControllerMode.INDIVIDUAL, state, workers=workers, budget=len(records))
     mismatches = 0
-    for record in lines[1:]:
-        texts = record.get("actions", {})
-        actions = {}
-        for agent in roster:
-            parsed = parse_action(texts.get(agent, ""), roster, location_ids)
-            actions[agent] = parsed if parsed is not None and parsed.agent == agent else Noop(agent)
-        try:
-            outcome = kitchen_step(state, actions)
-        except EpisodeOver:
-            print(f"replay: step {record.get('step')} exceeds the episode length")
-            return 1
-        state = outcome.next_state
+    for record, replayed in zip(records, report.trace):
         # traces hold canonical action text, so any other text is a mismatch
-        replayed = {
-            "actions": {agent: action.to_text() for agent, action in actions.items()},
-            "results": {agent: outcome.per_agent_result[agent].to_json_dict() for agent in roster},
-            "events": [e.to_json_dict() for e in outcome.events],
-            "observation_hash": observation_hash(state),
-        }
-        diverged = next((key for key, value in replayed.items() if record.get(key) != value), None)
+        diverged = next((key for key in _REPLAYED if record.get(key) != replayed[key]), None)
         if diverged is not None:
             mismatches += 1
             print(f"replay: mismatch at step {record.get('step')}: {diverged}")
+    if len(records) > report.steps:
+        print(f"replay: step {records[report.steps].get('step')} exceeds the episode length")
+        return 1
     if mismatches:
         print(f"replay: FAILED with {mismatches} mismatching steps")
         return 1
-    print(f"replay: OK, {len(lines) - 1} steps verified")
+    print(f"replay: OK, {len(records)} steps verified")
     return 0
 
 

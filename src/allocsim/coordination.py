@@ -24,9 +24,11 @@ wrong agent degrades to a logged noop for that step -- metrics record
 the failure rather than silently repairing it. A planner that fails the
 same way keeps its prior plan and counts a replan failure.
 
-Policies and planners read the live episode state and must not mutate it;
-``kitchen.step`` never mutates its input, so no copy is taken. The state
-holds only the present: :func:`run_episode` keeps the episode's events.
+:func:`run_episode` is the one place where a step is taken and recorded;
+``replay`` re-runs it on a trace's action texts. Policies and planners
+read the live episode state and must not mutate it; ``kitchen.step``
+never mutates its input, so no copy is taken. The state holds only the
+present: :func:`run_episode` keeps the episode's events.
 
 Each state is rendered once: the text of the state a step produces is the
 observation the next step's policies see, the prompt of a replan after
@@ -354,19 +356,25 @@ class EpisodeReport:
 
     mode: ControllerMode
     agent_count: int
-    steps: int
     completed_orders: int
     event_log: tuple[KitchenEvent, ...]
     action_counts: dict[str, int]
     ledger: CostLedger
     capability: CapabilityProfile
-    planner_invocations: int
     planner_prompts: list[str]
     replan_failures: int
     fallbacks: list[FallbackNote]
     policy_calls: dict[str, int]
     trace: list[dict[str, Any]]
     final_observation_hash: str
+
+    @property
+    def steps(self) -> int:
+        return len(self.trace)
+
+    @property
+    def planner_invocations(self) -> int:
+        return len(self.planner_prompts)
 
     def efficiency_report(self) -> EfficiencyReport:
         return efficiency(self.completed_orders, self.ledger, self.action_counts)
@@ -440,7 +448,6 @@ def run_episode(
     fallbacks: list[FallbackNote] = []
     planner_prompts: list[str] = []
     replan_failures = 0
-    planner_invocations = 0
     trace: list[dict[str, Any]] = []
     # equal values share one object, so a long trace stays small
     action_text = functools.cache(lambda action: action.to_text())
@@ -454,7 +461,7 @@ def run_episode(
             ledger.record_call(model_id, role, response.tokens_in, response.tokens_out, at_step)
 
     def replan(events: Sequence[KitchenEvent]) -> None:
-        nonlocal plan, planner_invocations, replan_failures
+        nonlocal plan, replan_failures
         assert planner is not None
         outcome = planner_replan(
             observation,
@@ -465,7 +472,6 @@ def run_episode(
             state,
             capability_block,
         )
-        planner_invocations += 1
         policy_calls["planner"] += 1
         planner_prompts.append(outcome.prompt)
         if outcome.response is not None:
@@ -482,8 +488,7 @@ def run_episode(
     if mode is ControllerMode.PLANNER:
         replan(tuple(events))
 
-    steps_run = 0
-    while steps_run < total_steps:
+    for _ in range(total_steps):
         actions: dict[str, KitchenAction] = {}
         pre_failed: dict[str, str | None] = {}
         acting_model: dict[str, str] = {}
@@ -565,20 +570,17 @@ def run_episode(
                 "observation_hash": observation_text_hash(observation),
             }
         )
-        steps_run += 1
         if mode is ControllerMode.PLANNER and outcome.events:
             replan(outcome.events)
 
     return EpisodeReport(
         mode=mode,
         agent_count=len(roster),
-        steps=steps_run,
         completed_orders=state.completed_count,
         event_log=tuple(events),
         action_counts=dict(histogram),
         ledger=ledger,
         capability=profile,
-        planner_invocations=planner_invocations,
         planner_prompts=planner_prompts,
         replan_failures=replan_failures,
         fallbacks=fallbacks,

@@ -279,6 +279,11 @@ class DishOrder:
     ordinal: int
 
 
+def order_urgency(order: DishOrder) -> tuple[int, int, int]:
+    """Sort key of live orders, most urgent first: closest to expiry, then oldest, then first spawned."""
+    return (order.lifetime, order.issued_at, order.ordinal)
+
+
 # --- actions and events -----------------------------------------------------
 
 
@@ -548,8 +553,8 @@ def _apply_action(state: KitchenState, action: KitchenAction) -> list[KitchenEve
         if loc.kind is LocationKind.SERVING_TABLE:
             matching = [o for o in state.orders if o.dish == item]
             if matching:
-                # serve the order closest to expiry; item leaves the world
-                order = min(matching, key=lambda o: (o.lifetime, o.issued_at, o.ordinal))
+                # serve the most urgent order; the item leaves the world
+                order = min(matching, key=order_urgency)
                 state.orders.remove(order)
                 state.completed_dishes.append(item)
                 events.append(KitchenEvent(EventKind.ORDER_COMPLETED, item, state.step))

@@ -43,6 +43,7 @@ from .kitchen import (
     LocationKind,
     Noop,
     Put,
+    order_urgency,
 )
 from .prompts import (
     ORCHESTRATOR_SYSTEM,
@@ -53,10 +54,6 @@ from .prompts import (
 )
 
 SCRIPTED_MODEL_ID = "scripted"
-
-
-def _edf_key(order: DishOrder) -> tuple[int, int, int]:
-    return (order.lifetime, order.issued_at, order.ordinal)
 
 
 def _tools_of_kind(state: KitchenState, tool_kind: str) -> list[str]:
@@ -288,7 +285,7 @@ def scripted_individual_action(state: KitchenState, agent_id: str) -> KitchenAct
     index = roster.index(agent_id)
     owned = [
         order
-        for order in sorted(state.orders, key=_edf_key)
+        for order in sorted(state.orders, key=order_urgency)
         if order.ordinal % len(roster) == index
     ]
     units = [unit for order in owned for unit in order_units(state, order)]
@@ -329,6 +326,20 @@ class ScriptedWorker:
         return PolicyResponse(text=action.to_text())
 
 
+class RecordedWorker:
+    """Answers step ``i`` with ``texts[i]``, and with a noop once the texts run out."""
+
+    model_id = SCRIPTED_MODEL_ID
+
+    def __init__(self, texts: Sequence[str]):
+        self.texts = texts
+
+    def respond(self, query: PolicyQuery, state: KitchenState) -> PolicyResponse:
+        if state.step < len(self.texts):
+            return PolicyResponse(text=self.texts[state.step])
+        return PolicyResponse(text=f"noop({query.agent_id})")
+
+
 class ScriptedOrchestrator:
     """Central variant: emits one self-assigned action line per agent."""
 
@@ -358,7 +369,7 @@ class ScriptedPlanner:
         agents = sorted(roster)
         units = [
             unit
-            for order in sorted(state.orders, key=_edf_key)
+            for order in sorted(state.orders, key=order_urgency)
             for unit in order_units(state, order)
         ]
         directives: dict[str, list[Directive]] = {a: [] for a in agents}

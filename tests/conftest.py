@@ -5,32 +5,13 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Sequence
 
 import pytest
 
 from allocsim.assignment import Candidate, CostMatrix
-from allocsim.coordination import ControllerMode, PolicyQuery, PolicyResponse, run_episode
-from allocsim.kitchen import KitchenState, LevelConfig, load_level
-from allocsim.policies import SCRIPTED_MODEL_ID, ScriptedPlanner, ScriptedWorker
-
-
-class FixedScriptWorker:
-    """Replays a fixed list of action texts; noops when the list runs out."""
-
-    model_id = SCRIPTED_MODEL_ID
-
-    def __init__(self, action_texts: Sequence[str]):
-        self._texts = list(action_texts)
-        self._index = 0
-
-    def respond(self, query: PolicyQuery, state: KitchenState) -> PolicyResponse:
-        if self._index < len(self._texts):
-            text = self._texts[self._index]
-            self._index += 1
-        else:
-            text = f"noop({query.agent_id})"
-        return PolicyResponse(text=text)
+from allocsim.coordination import ControllerMode, run_episode
+from allocsim.kitchen import LevelConfig, load_level
+from allocsim.policies import ScriptedPlanner, ScriptedWorker
 
 
 def read_instances(text: str) -> list[CostMatrix]:

@@ -35,13 +35,14 @@ from allocsim.levels import get_level
 from allocsim.policies import (
     FlakyWorker,
     GatewayWorker,
+    RecordedWorker,
     ScriptedPlanner,
     ScriptedWorker,
     scripted_individual_action,
 )
 from allocsim.seeding import derive_seed
 
-from conftest import FixedScriptWorker, random_level, scripted_individual_episode, scripted_planner_episode
+from conftest import random_level, scripted_individual_episode, scripted_planner_episode
 
 
 def ok(criterion: int, message: str) -> None:
@@ -211,7 +212,7 @@ def test_c10_action_histogram():
     state = load_level(get_level("level_1"), 1, seed=0)
     report = run_episode(
         ControllerMode.INDIVIDUAL, state,
-        workers={"agent0": FixedScriptWorker(script)}, budget=10,
+        workers={"agent0": RecordedWorker(script)}, budget=10,
     )
     histogram = report.efficiency_report().action_histogram
     assert histogram == {

@@ -37,12 +37,13 @@ from allocsim.policies import (
     GatewayOrchestrator,
     GatewayPlanner,
     GatewayWorker,
+    RecordedWorker,
     ScriptedOrchestrator,
     ScriptedPlanner,
     ScriptedWorker,
 )
 
-from conftest import FixedScriptWorker, scripted_individual_episode, scripted_planner_episode, stretched_level
+from conftest import scripted_individual_episode, scripted_planner_episode, stretched_level
 
 ROSTER = ["agent0", "agent1"]
 LOCATIONS = ["storage0", "servingtable0", "blender0", "blender1"]
@@ -160,7 +161,7 @@ class TestPlannerReplan:
         report = run_episode(
             ControllerMode.PLANNER,
             state,
-            workers={"agent0": FixedScriptWorker([])},
+            workers={"agent0": RecordedWorker([])},
             planner=ScriptedPlanner(),
             budget=10,
         )
@@ -315,8 +316,8 @@ class TestRunEpisode:
             ControllerMode.INDIVIDUAL,
             state,
             workers={
-                "agent0": FixedScriptWorker(["goto(agent1, storage0)"]),
-                "agent1": FixedScriptWorker([]),
+                "agent0": RecordedWorker(["goto(agent1, storage0)"]),
+                "agent1": RecordedWorker([]),
             },
             budget=1,
         )
@@ -423,9 +424,9 @@ class TestScriptedPolicies:
         with pytest.raises(ValueError):
             FlakyWorker(ScriptedWorker(), 1.5, seed=0)
 
-    def test_fixed_script_worker_noop_after_exhaustion(self, level_1):
+    def test_recorded_worker_noop_after_exhaustion(self, level_1):
         state = load_level(level_1, 1, seed=0)
-        worker = FixedScriptWorker(["goto(agent0, storage0)"])
+        worker = RecordedWorker(["goto(agent0, storage0)"])
         report = run_episode(
             ControllerMode.INDIVIDUAL, state, workers={"agent0": worker}, budget=3
         )

@@ -16,6 +16,7 @@ from allocsim.policies import (
     GatewayOrchestrator,
     GatewayPlanner,
     GatewayWorker,
+    RecordedWorker,
     ScriptedOrchestrator,
     ScriptedPlanner,
     ScriptedWorker,
@@ -26,7 +27,7 @@ from allocsim.policies import (
 )
 from allocsim.seeding import derive_seed
 
-from conftest import FixedScriptWorker, random_level
+from conftest import random_level
 
 
 class TestSeeding:
@@ -202,7 +203,7 @@ class TestReadOnlyContract:
                 (ScriptedWorker(), bare),
                 (ScriptedWorker(), directed),
                 (FlakyWorker(ScriptedWorker(), 0.5, seed=1), directed),
-                (FixedScriptWorker([f"goto({agent_id}, storage0)"]), bare),
+                (RecordedWorker([f"goto({agent_id}, storage0)"]), bare),
                 (GatewayWorker(self.BINDING, _mock()), directed),
             ]
         central = PolicyQuery(observation="obs", agent_id="__central__")
