@@ -302,6 +302,9 @@ _TRACE_MUTATIONS = {
     **{field: (lambda records, pick, mutate=mutate: mutate(records[pick % len(records)]))
        for field, mutate in _STEP_MUTATIONS.items()},
     "drop-agent": _drop_agent,
+    # a parseable action that always fails, so its results differ too
+    "failing-action": lambda records, pick: records[pick % len(records)]["actions"].update(
+        agent0="get(agent0, servingtable0, ghost)"),
     "unknown-agent": lambda records, pick: records[pick % len(records)]["actions"].update(
         {f"agent{6 + pick % 3}": "goto(agent0, storage0)"}),
     "step": lambda records, pick: records[pick % len(records)].update(step=pick % 100),
