@@ -402,10 +402,6 @@ def cmd_kitchen_run(args: argparse.Namespace) -> int:
 # --- replay ----------------------------------------------------------------------
 
 
-# the fields of a step record replay compares, in the order it names them
-_REPLAYED = ("actions", "results", "events", "observation_hash")
-
-
 def cmd_replay(args: argparse.Namespace) -> int:
     trace_path = Path(args.trace)
     if not trace_path.exists():
@@ -440,7 +436,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     mismatches = 0
     for record, replayed in zip(records, report.trace):
         # traces hold canonical action text, so any other text is a mismatch
-        diverged = next((key for key in _REPLAYED if record.get(key) != replayed[key]), None)
+        fields = ("actions", "results", "events", "observation_hash")
+        diverged = next((key for key in fields if record.get(key) != replayed[key]), None)
         if diverged is not None:
             mismatches += 1
             print(f"replay: mismatch at step {record.get('step')}: {diverged}")

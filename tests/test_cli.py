@@ -287,7 +287,7 @@ def _edit_trace(trace: Path, edit) -> None:
 
 def _append_past_end(records: list, pick: int) -> None:
     last = records[-1] if records else {"actions": {}}
-    for i in range(1 + pick % 3):
+    for _ in range(1 + pick % 3):
         records.append({**json.loads(json.dumps(last)), "step": len(records)})
 
 
