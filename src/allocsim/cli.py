@@ -10,8 +10,8 @@ Subcommands:
 * ``capability-sweep`` -- paired on-the-fly vs informed planner runs over
   a worker roster, sharing seeds;
 * ``replay`` -- re-run the episode loop on a trace file's action texts
-  and verify that every step's actions, results, events and observation
-  hash match the recording.
+  and verify that every step's index, actions, results, events and
+  observation hash match the recording.
 
 Runs are configured by a JSON file (``--config``) with per-flag keys;
 explicit flags win over the file. All randomness derives from the single
@@ -76,6 +76,16 @@ def _read_json(path: Path, what: str) -> Any:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
 
 
+# config-file settings used as they are: the JSON types each takes, and their name
+_FILE_TYPES: dict[str, tuple[type | tuple[type, ...], str]] = {
+    "level": (str, "a string"),
+    "mode": (str, "a string"),
+    "mock_file": (str, "a string"),
+    "workers": ((str, list), "a string or a list"),
+    "bindings": (dict, "an object"),
+}
+
+
 def _merge_config(args: argparse.Namespace, keys: Sequence[str]) -> dict[str, Any]:
     """File values fill in whatever the command line left unset."""
     merged: dict[str, Any] = {}
@@ -84,10 +94,15 @@ def _merge_config(args: argparse.Namespace, keys: Sequence[str]) -> dict[str, An
         file_conf = _read_json(Path(args.config), "config file")
         if not isinstance(file_conf, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
+    for key in [*keys, "bindings"]:
+        kinds, name = _FILE_TYPES.get(key, (object, ""))
+        value = file_conf.get(key)
+        if value is not None and not isinstance(value, kinds):
+            raise ConfigError(f"config file {args.config}: setting {key!r} must be {name}, got {value!r}")
     for key in keys:
         flag_value = getattr(args, key, None)
         merged[key] = flag_value if flag_value is not None else file_conf.get(key)
-    merged["bindings"] = file_conf.get("bindings", {})
+    merged["bindings"] = file_conf.get("bindings") or {}
     return merged
 
 
@@ -436,7 +451,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     mismatches = 0
     for record, replayed in zip(records, report.trace):
         # traces hold canonical action text, so any other text is a mismatch
-        fields = ("actions", "results", "events", "observation_hash")
+        fields = ("step", "actions", "results", "events", "observation_hash")
         diverged = next((key for key in fields if record.get(key) != replayed[key]), None)
         if diverged is not None:
             mismatches += 1

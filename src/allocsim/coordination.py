@@ -22,7 +22,9 @@ grammar match (``goto/get/put/activate/noop``) and validates ids;
 anything unparseable, any gateway failure, and any action naming the
 wrong agent degrades to a logged noop for that step -- metrics record
 the failure rather than silently repairing it. A planner that fails the
-same way keeps its prior plan and counts a replan failure.
+same way keeps its prior plan and counts a replan failure. Within one
+episode the roster and location ids are fixed, so :func:`run_episode`
+parses each distinct response text once and reuses the frozen result.
 
 :func:`run_episode` is the one place where a step is taken and recorded;
 ``replay`` re-runs it on a trace's action texts. Policies and planners
@@ -452,6 +454,11 @@ def run_episode(
     # equal values share one object, so a long trace stays small
     action_text = functools.cache(lambda action: action.to_text())
     result_dict = functools.cache(ActionResult.to_json_dict)
+    # each distinct text is parsed once per episode; the results are only
+    # read. The lambdas look the parsers up in this module on each miss,
+    # where bench/tracer.py wraps them.
+    parse = functools.cache(lambda text: parse_action(text, roster, location_ids))
+    parse_joint = functools.cache(lambda text: parse_joint_actions(text, roster, location_ids))
 
     remaining = state.config.max_steps - state.step
     total_steps = remaining if budget is None else min(budget, remaining)
@@ -506,7 +513,7 @@ def run_episode(
                     pre_failed[agent_id] = failure
             else:
                 record_billing(response, central.model_id, "orchestrator", state.step)
-                decisions = parse_joint_actions(response.text, roster, location_ids)
+                decisions = parse_joint(response.text)
                 for agent_id in roster:
                     action = decisions.get(agent_id)
                     if action is None:
@@ -535,7 +542,7 @@ def run_episode(
                     pre_failed[agent_id] = failure
                     continue
                 record_billing(response, policy.model_id, f"worker:{agent_id}", state.step)
-                action = parse_action(response.text, roster, location_ids)
+                action = parse(response.text)
                 if action is None:
                     actions[agent_id] = Noop(agent_id)
                     pre_failed[agent_id] = "unparseable action"

@@ -25,6 +25,7 @@ carries no live RNG and identical inputs replay byte-identically.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from collections import Counter
@@ -81,6 +82,10 @@ class RecipeStep:
             raise MalformedLevel("cook_steps must be >= 1")
         if not self.inputs:
             raise MalformedLevel("a recipe step needs at least one input")
+        for item, count in self.inputs.items():
+            # a zero count would let an empty tool cook from nothing
+            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+                raise MalformedLevel(f"input {item!r} of {self.output!r} needs an int count >= 1, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,13 @@ class OrderSchedule:
 
 @dataclass(frozen=True)
 class LevelConfig:
+    """An immutable level.
+
+    Its derived lookups (recipe by dish, recipe steps by tool kind, tool ids
+    by kind, storage ids, serving table, produced items) are cached
+    properties, built on first use, so the step path never rescans the level.
+    """
+
     level_id: str
     locations: tuple[LocationSpec, ...]
     recipes: tuple[Recipe, ...]
@@ -153,11 +165,48 @@ class LevelConfig:
                         )
                 known.add(step.output)
 
-    def recipe_for(self, dish: str) -> Recipe:
+    @functools.cached_property
+    def _recipe_by_dish(self) -> dict[str, Recipe]:
+        """The first recipe of each dish."""
+        found: dict[str, Recipe] = {}
         for recipe in self.recipes:
-            if recipe.dish == dish:
-                return recipe
-        raise KeyError(dish)
+            found.setdefault(recipe.dish, recipe)
+        return found
+
+    @functools.cached_property
+    def recipe_steps_by_tool(self) -> dict[str, tuple[tuple[Counter, RecipeStep], ...]]:
+        """Each tool kind's recipe steps in config order, with their inputs as a Counter."""
+        found: dict[str, list[tuple[Counter, RecipeStep]]] = {}
+        for recipe in self.recipes:
+            for step in recipe.steps:
+                found.setdefault(step.tool_kind, []).append((Counter(dict(step.inputs)), step))
+        return {kind: tuple(steps) for kind, steps in found.items()}
+
+    @functools.cached_property
+    def tools_by_kind(self) -> dict[str, tuple[str, ...]]:
+        """The sorted tool ids of each tool kind."""
+        found: dict[str, list[str]] = {}
+        for loc in self.locations:
+            if loc.kind is LocationKind.TOOL:
+                found.setdefault(loc.tool_kind or "", []).append(loc.id)
+        return {kind: tuple(sorted(ids)) for kind, ids in found.items()}
+
+    @functools.cached_property
+    def storage_ids(self) -> tuple[str, ...]:
+        return tuple(sorted(loc.id for loc in self.locations if loc.kind is LocationKind.STORAGE))
+
+    @functools.cached_property
+    def serving_table_id(self) -> str:
+        """The first serving table in config order."""
+        return next(loc.id for loc in self.locations if loc.kind is LocationKind.SERVING_TABLE)
+
+    @functools.cached_property
+    def produced_items(self) -> frozenset[str]:
+        """Every item some recipe step outputs."""
+        return frozenset(step.output for recipe in self.recipes for step in recipe.steps)
+
+    def recipe_for(self, dish: str) -> Recipe:
+        return self._recipe_by_dish[dish]
 
     def spawn_steps(self) -> list[int]:
         return list(range(0, self.max_steps, self.order_schedule.spawn_interval))
@@ -377,6 +426,13 @@ class ActionResult:
         return {"ok": self.ok, "reason": self.reason.value if self.reason else None}
 
 
+def _copy_counter(counter: Counter) -> Counter:
+    """``Counter(counter)``, filled by ``dict.update`` in C rather than ``Counter.update`` in Python."""
+    copied = Counter.__new__(Counter)
+    dict.update(copied, counter)
+    return copied
+
+
 @dataclass
 class KitchenState:
     config: LevelConfig
@@ -407,7 +463,7 @@ class KitchenState:
                     loc.id,
                     loc.kind,
                     loc.tool_kind,
-                    Counter(loc.contents),
+                    _copy_counter(loc.contents),
                     None if loc.processing is None
                     else Processing(loc.processing.remaining_steps, loc.processing.output_item),
                 )
@@ -427,12 +483,6 @@ class KitchenState:
 
     def agent_ids(self) -> list[str]:
         return sorted(self.agents)
-
-    def serving_table_id(self) -> str:
-        for loc in self.config.locations:
-            if loc.kind is LocationKind.SERVING_TABLE:
-                return loc.id
-        raise MalformedLevel("no serving table")  # unreachable after validation
 
 
 @dataclass(frozen=True)
@@ -462,7 +512,7 @@ def load_level(config: LevelConfig, agent_count: int, seed: int) -> KitchenState
             tool_kind=spec.tool_kind,
             contents=Counter(dict(spec.stock)),
         )
-    table = next(l.id for l in config.locations if l.kind is LocationKind.SERVING_TABLE)
+    table = config.serving_table_id
     agents = {
         f"agent{i}": AgentState(id=f"agent{i}", at=table) for i in range(agent_count)
     }
@@ -488,10 +538,9 @@ def load_level(config: LevelConfig, agent_count: int, seed: int) -> KitchenState
 
 def _match_recipe_step(config: LevelConfig, tool_kind: str, contents: Counter) -> RecipeStep | None:
     """First recipe step (config order) whose tool and exact inputs match."""
-    for recipe in config.recipes:
-        for step in recipe.steps:
-            if step.tool_kind == tool_kind and Counter(dict(step.inputs)) == contents:
-                return step
+    for inputs, step in config.recipe_steps_by_tool.get(tool_kind, ()):
+        if inputs == contents:
+            return step
     return None
 
 
@@ -721,11 +770,7 @@ def render_observation(state: KitchenState) -> str:
         lines.append(f"inside({loc.id}, {_format_contents(loc.contents)})")
     lines.append("")
     lines.append("Accomplished Tasks")
-    if state.completed_dishes:
-        for dish in state.completed_dishes:
-            lines.append(dish)
-    else:
-        lines.append("None")
+    lines.extend(state.completed_dishes or ("None",))
     return "\n".join(lines) + "\n"
 
 

@@ -40,7 +40,6 @@ from .kitchen import (
     KitchenAction,
     KitchenEvent,
     KitchenState,
-    LocationKind,
     Noop,
     Put,
     order_urgency,
@@ -56,17 +55,9 @@ from .prompts import (
 SCRIPTED_MODEL_ID = "scripted"
 
 
-def _tools_of_kind(state: KitchenState, tool_kind: str) -> list[str]:
-    return sorted(
-        loc.id
-        for loc in state.locations.values()
-        if loc.kind is LocationKind.TOOL and loc.tool_kind == tool_kind
-    )
-
-
 def sticky_tool(state: KitchenState, tool_kind: str, ordinal: int) -> str:
     """Tool instance for an order: stable across steps and replans."""
-    tools = _tools_of_kind(state, tool_kind)
+    tools = state.config.tools_by_kind[tool_kind]
     return tools[ordinal % len(tools)]
 
 
@@ -83,18 +74,6 @@ def order_units(state: KitchenState, order: DishOrder) -> list[WorkUnit]:
     ]
     units.append(WorkUnit(order.ordinal, order.dish, None, units[-1].tool_id))
     return units
-
-
-def _storages(state: KitchenState) -> list[str]:
-    return sorted(
-        loc.id for loc in state.locations.values() if loc.kind is LocationKind.STORAGE
-    )
-
-
-def _produced_items(state: KitchenState) -> set[str]:
-    return {
-        step.output for recipe in state.config.recipes for step in recipe.steps
-    }
 
 
 def _recovery_claimant(state: KitchenState, dish: str) -> int | None:
@@ -161,12 +140,12 @@ def _cook_input_sources(state: KitchenState, unit: WorkUnit, item: str) -> list[
     sources: list[str] = []
     if unit.step_index > 0 and recipe.steps[unit.step_index - 1].output == item:
         sources.append(_pipeline_tools(state, unit)[unit.step_index - 1])
-    if item in _produced_items(state):
+    if item in state.config.produced_items:
         if _recovery_claimant(state, unit.dish) == unit.order_ordinal:
-            sources.extend(_storages(state))
-            sources.append(state.serving_table_id())
+            sources.extend(state.config.storage_ids)
+            sources.append(state.config.serving_table_id)
     else:
-        sources.extend(_storages(state))
+        sources.extend(state.config.storage_ids)
     seen: set[str] = set()
     ordered = []
     for loc_id in sources:
@@ -178,7 +157,7 @@ def _cook_input_sources(state: KitchenState, unit: WorkUnit, item: str) -> list[
 
 def _stash_action(state: KitchenState, agent_id: str) -> KitchenAction:
     """Free the hands: drop the held item at the first storage."""
-    storages = _storages(state)
+    storages = state.config.storage_ids
     if not storages:
         return Noop(agent_id)
     agent = state.agents[agent_id]
@@ -240,14 +219,14 @@ def _advance_deliver_unit(
     dishes in other pipelines belong to their own delivery legs.
     """
     agent = state.agents[agent_id]
-    table = state.serving_table_id()
+    table = state.config.serving_table_id
     if agent.holding == unit.dish:
         return _goto_or(state, agent_id, table, Put(agent_id, table))
     if agent.holding is not None:
         return None  # hands full with something else; other units decide
     sources = [unit.tool_id]
     if _recovery_claimant(state, unit.dish) == unit.order_ordinal:
-        sources.extend(_storages(state))
+        sources.extend(state.config.storage_ids)
         sources.append(table)
     for source_id in sources:
         source = state.locations[source_id]

@@ -47,6 +47,8 @@ def test_tracer_targets_resolve_and_unwind(tmp_path, monkeypatch):
     assert [vars(o).get(a) if isinstance(o, type) else getattr(o, a) for o, a, _, _ in targets] == originals
     calls, _, _ = spans.totals()
     assert calls["policies.scripted"] > 0 and calls["kitchen.step"] == 3
+    # run_episode's parse memo calls the wrapped module attribute on each miss
+    assert calls["coordination.parse"] > 0
 
 
 def test_kitchen_model_planner_job_builds_and_checks(tmp_path, monkeypatch):

@@ -238,6 +238,7 @@ def reference_replay(trace: Path) -> int:
 
     mismatches = 0
     for record in lines[1:]:
+        step_index = state.step
         texts = record.get("actions", {})
         actions = {}
         for agent in roster:
@@ -250,6 +251,7 @@ def reference_replay(trace: Path) -> int:
             return 1
         state = outcome.next_state
         replayed = {
+            "step": step_index,
             "actions": {agent: action.to_text() for agent, action in actions.items()},
             "results": {agent: outcome.per_agent_result[agent].to_json_dict() for agent in roster},
             "events": [e.to_json_dict() for e in outcome.events],
@@ -395,6 +397,23 @@ class TestReplay:
             "replay: FAILED with 1 mismatching steps\n"
         )
 
+    def test_renumbered_records_are_mismatches(self, tmp_path, capsys):
+        trace = self._level_1_trace(tmp_path, 1)
+
+        def renumber(records):
+            records[3]["step"] = records[7]["step"] = 41
+            del records[12]["step"]
+
+        _edit_trace(trace, renumber)
+        capsys.readouterr()
+        assert main(["replay", "--trace", str(trace)]) == 1
+        assert capsys.readouterr().out == (
+            "replay: mismatch at step 41: step\n"
+            "replay: mismatch at step 41: step\n"
+            "replay: mismatch at step None: step\n"
+            "replay: FAILED with 3 mismatching steps\n"
+        )
+
     @given(level_seed=st.integers(0, 10**6), agents=st.integers(1, 6),
            mode=st.sampled_from(["individual", "orchestrator", "planner"]),
            pick=st.integers(0, 10**6), field=st.sampled_from(sorted(_STEP_MUTATIONS)))
@@ -537,6 +556,13 @@ def _trace(*records, **header):
     return "".join(json.dumps(line) + "\n" for line in lines)
 
 
+def _level_1_with_input_count(count):
+    """level_1's JSON with its first recipe step taking ``count`` salmon."""
+    payload = get_level("level_1").to_json_dict()
+    payload["recipes"][0]["steps"][0]["inputs"] = {"salmon": count}
+    return payload
+
+
 _KITCHEN_BASE = ["kitchen-run", "--seed", "1", "--level", "level_1", "--mode", "all"]
 _KITCHEN = [*_KITCHEN_BASE, "--agents", "2", "--budget", "3"]
 _SWEEP_BASE = ["capability-sweep", "--seed", "1", "--level", "level_1"]
@@ -596,6 +622,18 @@ BAD_INPUT = [
                  id="mock-entry-cost-a-string"),
     pytest.param(_config_run(["kitchen-run", "--seed", "1", "--agents", "2"], _file_setting("level", '{"level_id": "x"}')),
                  id="level-file-malformed"),
+    pytest.param(_config_run(["kitchen-run", "--seed", "1", "--agents", "2"], _file_setting("level", json.dumps(
+        _level_1_with_input_count(0)))), id="level-file-input-count-zero"),
+    *[
+        pytest.param(_config_run(argv, {key: value}), id=f"config-{key}-wrong-type")
+        for argv, key, value in [
+            (["kitchen-run", "--seed", "1", "--agents", "2"], "mode", 5),
+            (["kitchen-run", "--seed", "1", "--agents", "2"], "level", 5),
+            (["kitchen-run", "--seed", "1", "--agents", "2"], "bindings", ["scripted"]),
+            (_SWEEP, "workers", 5),
+            ([*_ASSIGN, "--allocator", "mock"], "mock_file", 5),
+        ]
+    ],
     pytest.param(_config_run(["capability-sweep", "--seed", "1", "--workers", "scripted"],
                              _file_setting("level", '{"level_id": "x"}')),
                  id="sweep-level-file-malformed"),

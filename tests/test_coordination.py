@@ -389,6 +389,57 @@ class TestRenderOnce:
             assert report.planner_invocations > 1  # replans after a step, on that step's text
 
 
+class _TextLog:
+    """Wraps a policy; logs every response text it gives."""
+
+    def __init__(self, inner, texts):
+        self.inner, self.texts, self.model_id = inner, texts, inner.model_id
+
+    def respond(self, query, state):
+        response = self.inner.respond(query, state)
+        self.texts.append(response.text)
+        return response
+
+
+class TestParseOnce:
+    """Within an episode, each distinct response text is parsed once."""
+
+    def counted(self, monkeypatch, name):
+        parsed = []
+        parser = getattr(coordination, name)
+
+        def counting(text, roster, locations):
+            parsed.append(text)
+            return parser(text, roster, locations)
+
+        monkeypatch.setattr(coordination, name, counting)
+        return parsed
+
+    @pytest.mark.parametrize("mode", [ControllerMode.INDIVIDUAL, ControllerMode.PLANNER])
+    def test_worker_texts(self, mode, monkeypatch):
+        parsed = self.counted(monkeypatch, "parse_action")
+        state = load_level(get_level("level_3"), 3, seed=5)
+        texts = []
+        inner = {"agent0": ScriptedWorker(), "agent1": FlakyWorker(ScriptedWorker(), 0.3, seed=2),
+                 "agent2": RecordedWorker(["goto(agent0, storage0)"] * 30)}
+        workers = {a: _TextLog(policy, texts) for a, policy in inner.items()}
+        planner = {"planner": ScriptedPlanner()} if mode is ControllerMode.PLANNER else {}
+        report = run_episode(mode, state, workers=workers, budget=60, **planner)
+
+        assert len(texts) == 180 and len(parsed) == len(set(parsed)) == len(set(texts)) < 60
+        # agent2 answers agent0's action text, which is parsed once but refused on every call
+        misaddressed = [f.step for f in report.fallbacks if f.reason == "action names another agent"]
+        assert misaddressed == list(range(30))
+
+    def test_joint_texts(self, monkeypatch):
+        parsed = self.counted(monkeypatch, "parse_joint_actions")
+        state = load_level(get_level("level_3"), 3, seed=5)
+        texts = []
+        run_episode(ControllerMode.ORCHESTRATOR, state, central=_TextLog(ScriptedOrchestrator(), texts), budget=60)
+
+        assert len(texts) == 60 and len(parsed) == len(set(parsed)) == len(set(texts)) < 60
+
+
 class TestRetainedTrace:
     def test_report_keeps_under_250_bytes_per_agent_step(self):
         # per-step memory must stay flat over a long episode: the retained

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allocsim import kitchen
 from allocsim.kitchen import (
     Activate,
     DishOrder,
@@ -95,6 +96,12 @@ class TestLoadLevel:
         bad_pool = dict(base, order_schedule=dict(base["order_schedule"], dish_pool=["nothing"]))
         with pytest.raises(MalformedLevel):
             LevelConfig.from_json_dict(bad_pool)
+        # a count below 1 would let an empty tool cook a dish from nothing
+        for count in (0, -1, 1.5, True, "1"):
+            bad_count = copy.deepcopy(base)
+            bad_count["recipes"][0]["steps"][0]["inputs"] = {"salmon": count}
+            with pytest.raises(MalformedLevel, match="count"):
+                LevelConfig.from_json_dict(bad_count)
 
 
 class TestStepSemantics:
@@ -435,6 +442,117 @@ class TestInvariants:
             assert runs[0] == runs[1]
 
 
+# --- the level's derived lookups against the linear scans they replaced -------
+
+
+def scan_recipe_for(config, dish):
+    for recipe in config.recipes:
+        if recipe.dish == dish:
+            return recipe
+    raise KeyError(dish)
+
+
+def scan_match_recipe_step(config, tool_kind, contents):
+    for recipe in config.recipes:
+        for step_ in recipe.steps:
+            if step_.tool_kind == tool_kind and Counter(dict(step_.inputs)) == contents:
+                return step_
+    return None
+
+
+def scan_tools_of_kind(state, tool_kind):
+    return sorted(loc.id for loc in state.locations.values()
+                  if loc.kind is kitchen.LocationKind.TOOL and loc.tool_kind == tool_kind)
+
+
+def scan_storages(state):
+    return sorted(loc.id for loc in state.locations.values() if loc.kind is kitchen.LocationKind.STORAGE)
+
+
+def scan_serving_table(config):
+    for loc in config.locations:
+        if loc.kind is kitchen.LocationKind.SERVING_TABLE:
+            return loc.id
+    raise MalformedLevel("no serving table")
+
+
+def duplicate_recipe_level() -> LevelConfig:
+    """Two recipes for dish ``a``, and blender steps of ``a`` and ``b`` with equal inputs."""
+    blend = {"tool_kind": "blender", "inputs": {"salmon": 1}, "cook_steps": 2}
+    return LevelConfig.from_json_dict({
+        "level_id": "duplicates",
+        "max_steps": 20,
+        "locations": [
+            {"id": "storage1", "kind": "storage", "stock": {"salmon": 4, "rice": 4}},
+            {"id": "storage0", "kind": "storage", "stock": {"rice": 2}},
+            {"id": "servingtable0", "kind": "servingtable"},
+            {"id": "blender1", "kind": "tool", "tool_kind": "blender"},
+            {"id": "pot0", "kind": "tool", "tool_kind": "pot"},
+            {"id": "blender0", "kind": "tool", "tool_kind": "blender"},
+        ],
+        "recipes": [
+            {"dish": "a", "steps": [{**blend, "output": "a"}]},
+            {"dish": "a", "steps": [{"tool_kind": "pot", "inputs": {"rice": 1}, "output": "a", "cook_steps": 3}]},
+            {"dish": "b", "steps": [{**blend, "output": "b"}]},
+        ],
+        "order_schedule": {"spawn_interval": 5, "lifetime": 9, "dish_pool": ["a", "b"]},
+    })
+
+
+def _contents_to_try(config):
+    """Every step's inputs, each with one unit more and one less, and empty contents."""
+    tried = [Counter()]
+    for recipe in config.recipes:
+        for step_ in recipe.steps:
+            inputs = Counter(dict(step_.inputs))
+            tried.append(inputs)
+            for item in inputs:
+                tried.append(inputs + Counter({item: 1}))
+                tried.append(inputs - Counter({item: 1}))
+            tried.append(inputs + Counter({"junk": 1}))
+    return tried
+
+
+class TestLevelLookups:
+    def assert_lookups_match_scans(self, config):
+        state = load_level(config, 2, seed=0)
+        for dish in {r.dish for r in config.recipes}:
+            assert config.recipe_for(dish) is scan_recipe_for(config, dish)
+        with pytest.raises(KeyError):
+            config.recipe_for("no such dish")
+        kinds = {loc.tool_kind for loc in config.locations if loc.tool_kind} | {"", "no such kind"}
+        for kind in kinds:
+            if kind in config.tools_by_kind:
+                assert list(config.tools_by_kind[kind]) == scan_tools_of_kind(state, kind)
+            else:
+                assert scan_tools_of_kind(state, kind) == []
+            for contents in _contents_to_try(config):
+                expected = scan_match_recipe_step(config, kind, contents)
+                assert kitchen._match_recipe_step(config, kind, contents) is expected
+        assert list(config.storage_ids) == scan_storages(state)
+        assert config.serving_table_id == scan_serving_table(config)
+        assert config.produced_items == {s.output for r in config.recipes for s in r.steps}
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_LEVELS))
+    def test_builtin_levels(self, name):
+        self.assert_lookups_match_scans(get_level(name))
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_levels(self, seed):
+        self.assert_lookups_match_scans(random_level(seed))
+
+    def test_first_recipe_and_first_step_win(self):
+        config = duplicate_recipe_level()
+        self.assert_lookups_match_scans(config)
+        assert config.recipe_for("a") is config.recipes[0]
+        assert config.tools_by_kind["blender"] == ("blender0", "blender1")
+        assert config.storage_ids == ("storage0", "storage1")
+        # the steps of a and b both take one salmon on a blender: a's is first
+        matched = kitchen._match_recipe_step(config, "blender", Counter(salmon=1))
+        assert matched is config.recipes[0].steps[0] and matched.output == "a"
+
+
 class TestSerialization:
     def test_level_config_round_trip(self, level_1):
         payload = level_1.to_json_dict()
@@ -471,6 +589,7 @@ class TestCopy:
         for loc_id, loc in state.locations.items():
             twin = dup.locations[loc_id]
             assert twin is not loc and twin.contents is not loc.contents
+            assert type(twin.contents) is Counter and twin.contents == loc.contents
             if loc.processing is not None:
                 assert twin.processing is not loc.processing
                 processing += 1
