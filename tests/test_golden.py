@@ -180,3 +180,36 @@ def test_capability_sweep_with_mock_planner(tmp_path, capsys, monkeypatch):
     })
     argv = ["capability-sweep", "--seed", "1", "--level", "level_1", "--budget", "40", "--config", config]
     assert run_digest(argv, tmp_path, capsys) == MOCK_SWEEP_RUN
+
+
+ASSIGN_RUNS = {
+    "hungarian": "ca38a27af1de19b05ba33bba8dd9f5bde9ad6b6ad17285f2ce8f1b2ab7ab4658",
+    "greedy": "d9cbee2c37ea800e3efb31caf224d1d973841511fbbfe889330d89963d00794c",
+    "random": "a6a9cbb2dff9def5ed168ef4722529765a3d5316d2f123b6c097868e45875662",
+    "mock": "5e5c0b386607aa88c6e66abf36e8b00e9a1285c19d2b15151fbb99a6c9defcf6",
+}
+
+# seed 1 draws n = 7, 8, 7, 8, 6, 4: an optimal free-form answer with
+# non-ASCII text, quotes and a newline; a valid candidate object with a float
+# claimed_cost; an optimal embedded JSON mapping; an answer that leaves tasks
+# out; a candidate object that assigns an agent twice; no mapping at all
+_MOCK_CANDIDATES = [
+    "task 0 -> agent 6, task 1 -> agent 4, task 2 -> agent 2, task 3 -> agent 3,\n"
+    "task 4 -> agent 0, task 5 -> agent 1, task 6 -> agent 5 \u2014 \"best\" cost: 3",
+    {"mapping": [0, 1, 2, 3, 4, 5, 6, 7], "claimed_cost": 12.75},
+    "Assignment {\"mapping\": [2, 5, 1, 3, 4, 0, 6], \"total_cost\": 4}",
+    "task 0 -> agent 4, task 2 -> agent 1 [no cost] \u00e9t\u00e9",
+    {"mapping": [1, 1, 0, 2, 3, 4], "claimed_cost": 0.1},
+    "I could not solve this one.",
+]
+
+
+@pytest.mark.parametrize("allocator", sorted(ASSIGN_RUNS))
+def test_assign_eval(allocator, tmp_path, capsys):
+    argv = ["assign-eval", "--seed", "1", "--instances", "6", "--n-min", "2", "--n-max", "9",
+            "--lo", "0", "--hi", "5", "--allocator", allocator]
+    if allocator == "mock":
+        mock_file = tmp_path / "mock.json"
+        mock_file.write_text(json.dumps(_MOCK_CANDIDATES), encoding="utf-8")
+        argv += ["--mock-file", str(mock_file)]
+    assert run_digest(argv, tmp_path, capsys) == ASSIGN_RUNS[allocator]
