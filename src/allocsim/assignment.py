@@ -34,6 +34,8 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .jsonout import dumps_indented
+
 BRUTE_FORCE_MAX_N = 9
 
 
@@ -567,11 +569,11 @@ def dump_instances(instances: Iterable[CostMatrix]) -> str:
     A non-empty batch of matrices built from integer arrays, whose entries
     are known to be exactly ``int``, is written with one ``"%d"`` row
     format per matrix and its entries are not looked at. Anything else
-    goes through ``json``.
+    goes through :func:`.jsonout.dumps_indented`, which gives the same text.
     """
     instances = list(instances)
     if not instances or not all(m._int_entries for m in instances):
-        return json.dumps([m.to_json_dict() for m in instances], indent=2, sort_keys=True)
+        return dumps_indented([m.to_json_dict() for m in instances])
     entry_sep = ",\n        "
     rows_sep = "\n      ],\n      [\n        "
     blocks = []
@@ -586,4 +588,5 @@ def dump_instances(instances: Iterable[CostMatrix]) -> str:
 
 
 def dump_candidates(candidates: Iterable[Candidate]) -> str:
-    return json.dumps([c.to_json_dict() for c in candidates], indent=2, sort_keys=True)
+    """``json.dumps([c.to_json_dict() ...], indent=2, sort_keys=True)``, byte for byte."""
+    return dumps_indented([c.to_json_dict() for c in candidates])

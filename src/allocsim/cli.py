@@ -40,6 +40,7 @@ from . import assignment as asg
 from .accounting import capability_hint
 from .coordination import ControllerMode, EpisodeReport, run_episode
 from .gateway import ModelBinding, install_mock
+from .jsonout import dumps_compact, dumps_indented
 from .kitchen import MAX_AGENTS, MIN_AGENTS, LevelConfig, MalformedLevel, load_level
 from .levels import BUILTIN_LEVELS, get_level
 from .policies import (
@@ -60,11 +61,8 @@ class ConfigError(ValueError):
 
 
 def _dump_json(path: Path, payload: Any) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _jsonl_line(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, written by :mod:`.jsonout`."""
+    path.write_text(dumps_indented(payload) + "\n", encoding="utf-8")
 
 
 def _read_json(path: Path, what: str) -> Any:
@@ -342,9 +340,9 @@ def _write_episode_artifacts(
         "budget": budget,
     }
     with (output / "trace.jsonl").open("w", encoding="utf-8") as fh:
-        fh.write(_jsonl_line(header) + "\n")
+        fh.write(dumps_compact(header) + "\n")
         for record in report.trace:
-            fh.write(_jsonl_line(record) + "\n")
+            fh.write(dumps_compact(record) + "\n")
     _dump_json(output / "report.json", report.to_json_dict())
     eff = report.efficiency_report()
     _dump_json(output / "efficiency.json", eff.to_json_dict())

@@ -6,8 +6,12 @@ generated text plus provider-reported token usage (field-name variants
 are normalized at the transport edge). Token counts are never estimated
 client-side.
 
-Request bodies are serialized canonically (sorted keys, fixed
-separators), so identical inputs produce identical bytes.
+Request bodies are serialized canonically, so identical inputs produce
+identical bytes: :func:`build_request_body` writes the one request shape
+directly, with sorted keys, no whitespace and every string escaped to
+ASCII by ``json.encoder.encode_basestring_ascii``. The bytes equal
+``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` of that
+payload.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
 
 
@@ -69,14 +74,21 @@ Message = Mapping[str, str]
 
 
 def build_request_body(binding: ModelBinding, messages: Sequence[Message]) -> bytes:
-    """Greedy decoding: temperature 0.0, at most 2048 tokens out."""
-    payload = {
-        "model": binding.model_id,
-        "messages": [{"role": m["role"], "content": m["content"]} for m in messages],
-        "temperature": 0.0,
-        "max_tokens": 2048,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """Greedy decoding: temperature 0.0, at most 2048 tokens out.
+
+    The body holds ``max_tokens``, ``messages`` (each message's ``content``
+    and ``role``, which must be strings), ``model`` and ``temperature``,
+    in that sorted order.
+    """
+    turns = ",".join([
+        '{"content":' + encode_basestring_ascii(m["content"])
+        + ',"role":' + encode_basestring_ascii(m["role"]) + "}"
+        for m in messages
+    ])
+    return (
+        '{"max_tokens":2048,"messages":[' + turns + '],"model":'
+        + encode_basestring_ascii(binding.model_id) + ',"temperature":0.0}'
+    ).encode("ascii")
 
 
 def normalize_response(payload: Mapping[str, Any]) -> tuple[str, int, int]:

@@ -8,6 +8,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from allocsim.gateway import (
     AuthMissing,
@@ -94,11 +96,36 @@ class TestMockTransport:
         assert texts == ["r0", "r1", "r2"]
 
 
+def request_body_oracle(binding, messages):
+    payload = {
+        "model": binding.model_id,
+        "messages": [{"role": m["role"], "content": m["content"]} for m in messages],
+        "temperature": 0.0,
+        "max_tokens": 2048,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+# the characters of JSON's syntax and escapes, plus non-ASCII text
+TEXT = st.text(st.one_of(st.sampled_from('{}[],:"\\\n\t /'), st.characters()), max_size=40)
+
+
 class TestRequestBodies:
     def test_byte_stable(self):
         a = build_request_body(BINDING, MESSAGES)
         b = build_request_body(BINDING, MESSAGES)
         assert a == b
+
+    @given(TEXT, st.lists(st.fixed_dictionaries({"role": TEXT, "content": TEXT}), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    @example("m", [])
+    def test_equals_json_dumps(self, model_id, messages):
+        binding = ModelBinding(model_id=model_id)
+        assert build_request_body(binding, messages) == request_body_oracle(binding, messages)
+
+    def test_other_message_keys_are_left_out(self):
+        messages = [{"role": "system", "content": "sé", "name": "x"}, {"content": "{}", "role": "user"}]
+        assert build_request_body(BINDING, messages) == request_body_oracle(BINDING, messages)
 
     def test_normalize_variants(self):
         openai_like = {
