@@ -343,13 +343,13 @@ def _write_episode_artifacts(
         fh.write(dumps_compact(header) + "\n")
         for record in report.trace:
             fh.write(dumps_compact(record) + "\n")
-    _dump_json(output / "report.json", report.to_json_dict())
-    eff = report.efficiency_report()
-    _dump_json(output / "efficiency.json", eff.to_json_dict())
+    payload = report.to_json_dict()
+    _dump_json(output / "report.json", payload)
+    _dump_json(output / "efficiency.json", payload["efficiency"])
     (output / "ledger.csv").write_text(report.ledger.to_csv(), encoding="utf-8")
 
     lines = ["action,count,fraction"]
-    for kind, fraction in eff.action_histogram.items():
+    for kind, fraction in payload["action_histogram"].items():
         lines.append(f"{kind},{report.action_counts.get(kind, 0)},{fraction!r}")
     (output / "histogram.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
