@@ -218,9 +218,15 @@ def _greedy_candidate(matrix: asg.CostMatrix) -> asg.Candidate:
     return asg.Candidate(tuple(mapping), cost, raw_text=f"greedy mapping {mapping}, cost {cost}")
 
 
+_ALLOCATORS = ("hungarian", "greedy", "random", "mock")
+
+
 def _allocate(matrix: asg.CostMatrix, allocator: str, rng: np.random.Generator,
               mock_pool: list[Any] | None, solved: asg.Assignment) -> asg.Candidate:
-    """One candidate for ``matrix``; ``solved`` is its optimal assignment."""
+    """One candidate for ``matrix``; ``solved`` is its optimal assignment.
+
+    ``allocator`` is one of ``_ALLOCATORS``, checked by the caller.
+    """
     if allocator == "hungarian":
         return asg.Candidate(
             solved.mapping, solved.total_cost,
@@ -231,14 +237,13 @@ def _allocate(matrix: asg.CostMatrix, allocator: str, rng: np.random.Generator,
     if allocator == "random":
         mapping = tuple(int(x) for x in rng.permutation(matrix.n))
         return asg.Candidate(mapping, matrix.cost_of(mapping), raw_text=str(mapping))
-    if allocator == "mock":
-        if not mock_pool:
-            raise ConfigError("mock allocator ran out of scripted candidates")
-        entry = mock_pool.pop(0)
-        if isinstance(entry, str):
-            return asg.parse_candidate_text(entry, matrix.n)
-        return asg.Candidate.from_json_dict(entry)
-    raise ConfigError(f"unknown allocator {allocator!r}")
+    # "mock"
+    if not mock_pool:
+        raise ConfigError("mock allocator ran out of scripted candidates")
+    entry = mock_pool.pop(0)
+    if isinstance(entry, str):
+        return asg.parse_candidate_text(entry, matrix.n)
+    return asg.Candidate.from_json_dict(entry)
 
 
 def _load_mock_pool(path: Path) -> list[Any]:
@@ -278,6 +283,8 @@ def cmd_assign_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"assign-eval: bad n range [{n_min}, {n_max}]")
     if not 0 <= lo <= hi < 2**63:  # numpy draws the costs as int64
         raise ConfigError(f"assign-eval: bad cost range [{lo}, {hi}]; need 0 <= lo <= hi < 2**63")
+    if allocator not in _ALLOCATORS:  # a config file's value skips argparse's choices
+        raise ConfigError(f"assign-eval: unknown allocator {allocator!r}")
 
     mock_pool = None
     if allocator == "mock":
@@ -558,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", dest="n_max", type=int, help="largest matrix size")
     p.add_argument("--lo", type=int, help="minimum cost entry")
     p.add_argument("--hi", type=int, help="maximum cost entry")
-    p.add_argument("--allocator", choices=["hungarian", "greedy", "random", "mock"])
+    p.add_argument("--allocator", choices=_ALLOCATORS)
     p.add_argument("--mock-file", dest="mock_file", help="JSON list of canned candidates for --allocator mock")
     p.add_argument("--strict-mapping", dest="strict_mapping", action="store_const", const=True,
                    help="score optimality by exact mapping equality")

@@ -606,6 +606,7 @@ BAD_INPUT = [
     pytest.param(_config_run([*_ASSIGN, "--lo", "5", "--hi", "1"], {}), id="assign-lo-above-hi"),
     pytest.param(_config_run([*_ASSIGN, "--lo", "-1"], {}), id="assign-lo-negative"),
     pytest.param(_config_run([*_ASSIGN, "--hi", "10000000000000000000"], {}), id="assign-hi-beyond-int64"),
+    pytest.param(_config_run(_ASSIGN, {"allocator": "bogus"}), id="config-allocator-unknown"),
     pytest.param(_config_run([*_ASSIGN, "--allocator", "mock", "--mock-file", "absent.json"], {}),
                  id="missing-mock-file"),
     *[
