@@ -9,10 +9,13 @@ one without any other test failing.
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+from allocsim import cli
 from allocsim.cli import main
+from allocsim.gateway import install_mock
 from allocsim.kitchen import load_level
 from allocsim.levels import get_level
 
@@ -36,19 +39,43 @@ def test_tracer_targets_resolve_and_unwind(tmp_path, monkeypatch):
         found = vars(owner).get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
         assert found is not None, (layer, owner, attr)
         originals.append(found)
+    # a mock orchestrator with no transient failure sends each request body once
+    transports = []
+
+    def recording_mock(script):
+        transports.append(install_mock(script))
+        return transports[-1]
+
+    monkeypatch.setattr(cli, "install_mock", recording_mock)
+    script = tmp_path / "orchestrator.json"
+    script.write_text(json.dumps([
+        {"text": "goto(agent0, storage0)\ngoto(agent1, blender0)", "tokens_in": 900, "tokens_out": 40},
+        {"malformed": True},
+        {"text": "noop(agent0)\nnoop(agent1)", "tokens_in": 950, "tokens_out": 12},
+    ]), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bindings": {"orchestrator": {
+        "kind": "mock", "model_id": "gpt-4o", "script": str(script)}}}), encoding="utf-8")
     spans = tracer.Tracer()
     spans.install()
     try:
         spans.job = 0
         assert main(["kitchen-run", "--seed", "1", "--level", "level_1", "--agents", "2",
                      "--mode", "planner", "--budget", "3", "--output", str(tmp_path / "out")]) == 0
+        spans.job = 1
+        assert main(["kitchen-run", "--seed", "1", "--level", "level_1", "--agents", "2", "--mode", "orchestrator",
+                     "--budget", "4", "--config", str(config), "--output", str(tmp_path / "model")]) == 0
     finally:
         spans.uninstall()
     assert [vars(o).get(a) if isinstance(o, type) else getattr(o, a) for o, a, _, _ in targets] == originals
     calls, _, _ = spans.totals()
-    assert calls["policies.scripted"] > 0 and calls["kitchen.step"] == 3
+    assert calls["policies.scripted"] > 0 and calls["kitchen.step"] == 3 + 4
     # run_episode's parse memo calls the wrapped module attribute on each miss
     assert calls["coordination.parse"] > 0
+    # complete calls the request writer through the module attribute
+    [transport] = transports
+    assert calls["gateway.encode"] == len(transport.requests) == 4
+    assert spans.bytes["gateway.encode"] == sum(map(len, transport.requests))
 
 
 def test_kitchen_model_planner_job_builds_and_checks(tmp_path, monkeypatch):
