@@ -13,6 +13,8 @@ Subpackages by concern:
   deterministic mock transport;
 * :mod:`allocsim.accounting` -- exact dollar ledger, capability tracking,
   and the orders-per-dollar efficiency metric;
+* :mod:`allocsim.jsonout` -- the indented and compact JSON writers of the
+  run artifacts, byte for byte ``json.dumps``'s text;
 * :mod:`allocsim.cli` -- experiment runner (``allocsim --help``).
 """
 

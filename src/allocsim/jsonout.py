@@ -14,9 +14,9 @@ is a list of such non-empty objects. Only the containers above them are
 walked in Python. The C encoder escapes every control character inside a
 string, so a raw newline in its output is always a separator.
 
-A container that holds itself raises ``RecursionError`` here, where
-``json.dumps`` raises ``ValueError``; any other input either gives the
-same text as ``json.dumps`` or raises the same exception type.
+A value ``json.dumps`` cannot write raises the same exception type here,
+except a container that holds itself: that raises ``RecursionError``
+where ``json.dumps`` raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -65,8 +65,9 @@ def _indented(obj: Any, depth: int) -> str:
             return "[" + inner + encode(obj)[1:-1] + outer + "]"
         if (_DICT.issuperset(map(type, obj)) and all(obj)
                 and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, obj))))):
-            # one call writes every object's members at depth + 2, and each
-            # object's closing brace is the only "}" before a separator
+            # one call writes every object's members at depth + 2; a "}"
+            # before a separator can only close an object, as no member is a
+            # container and no string holds a raw newline
             deeper, _, encode_objects = _level(depth + 1)
             body = encode_objects(obj)[2:-2].replace(
                 "}," + deeper + "{", inner + "}," + inner + "{" + deeper

@@ -39,7 +39,8 @@ def test_tracer_targets_resolve_and_unwind(tmp_path, monkeypatch):
         found = vars(owner).get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
         assert found is not None, (layer, owner, attr)
         originals.append(found)
-    # a mock orchestrator with no transient failure sends each request body once
+    # a mock orchestrator with no transient failure is sent each request body
+    # once, the fourth too, though its script has run out by then
     transports = []
 
     def recording_mock(script):
