@@ -324,6 +324,26 @@ class TestRunEpisode:
         assert report.fallbacks[0].reason == "action names another agent"
         assert report.trace[0]["actions"]["agent0"] == "noop(agent0)"
 
+    @pytest.mark.parametrize("mode", list(ControllerMode))
+    def test_capability_cells_name_the_acting_model(self, mode, level_1):
+        # every role is bound, so a policy the mode does not use must not name a cell
+        class Unused:
+            model_id = "unused-model"
+
+            def respond(self, query, state):
+                raise AssertionError("a policy this mode does not use was called")
+
+        state = load_level(level_1, 3, seed=4)
+        roster = state.agent_ids()
+        if mode is ControllerMode.ORCHESTRATOR:
+            policies = {"workers": {a: Unused() for a in roster}, "central": ScriptedOrchestrator()}
+        else:
+            policies = {"workers": {a: ScriptedWorker() for a in roster}, "central": Unused()}
+        report = run_episode(mode, state, planner=ScriptedPlanner(), budget=15, **policies)
+        cells = report.capability.to_json_dict()
+        assert list(cells) == [f"{a}/scripted" for a in roster]
+        assert all(cell["attempted"] == 15 for cell in cells.values())
+
     def test_ledger_rows_match_mock_usage(self, level_1):
         script = [MockEntry(text="noop(agent0)", tokens_in=100 + i, tokens_out=10 + i) for i in range(5)]
         transport = install_mock(script)
