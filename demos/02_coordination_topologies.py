@@ -43,7 +43,7 @@ reports = {
 
 print(f"{'mode':<14}{'completed':>10}{'policy calls':>14}{'noop share':>12}")
 for mode, report in reports.items():
-    histogram = report.efficiency_report().action_histogram
+    histogram = report.efficiency.action_histogram
     calls = sum(report.policy_calls.values())
     print(f"{mode:<14}{report.completed_orders:>10}{calls:>14}{histogram['noop']:>12.2f}")
 
@@ -77,10 +77,9 @@ billed = run_episode(
     ControllerMode.INDIVIDUAL, fresh_state(),
     workers={"agent0": BilledWorker("gpt-4o-mini"), "agent1": BilledWorker("qwen2.5-32b")},
 )
-efficiency = billed.efficiency_report()
 print(f"\nbilled run: {billed.completed_orders} orders for "
-      f"${float(efficiency.total_usd):.4f} -> "
-      f"{float(efficiency.efficiency):.1f} orders per dollar")
+      f"${float(billed.efficiency.total_usd):.4f} -> "
+      f"{float(billed.efficiency.efficiency):.1f} orders per dollar")
 print("first ledger rows:")
 for row in billed.ledger.sorted_rows()[:3]:
     print(f"    step {row.step}: {row.role} {row.model_id} "

@@ -490,50 +490,41 @@ def cmd_capability_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("capability-sweep: roster must have 1..6 workers")
 
     episode_seed = derive_seed(seed, "sweep")
-    planner_spec = conf.get("bindings", {}).get("planner")
+    bindings = {"workers": specs, "planner": conf.get("bindings", {}).get("planner")}
 
     # pass 1: on-the-fly -- the planner knows nothing about its workers
     state = load_level(level, len(specs), episode_seed)
-    workers = _build_workers(specs, state.agent_ids(), seed)
-    onthefly = run_episode(
-        ControllerMode.PLANNER, state, workers=workers,
-        planner=_policy_from_spec("planner", planner_spec), budget=budget,
-    )
+    policies = _mode_policies(ControllerMode.PLANNER, state.agent_ids(), seed, bindings)
+    onthefly = run_episode(ControllerMode.PLANNER, state, budget=budget, **policies)
 
     # pass 2: informed -- same seed, hints measured from pass 1
-    roster_models = [
-        (agent_id, workers[agent_id].model_id) for agent_id in sorted(workers)
-    ]
+    workers = policies["workers"]
+    roster_models = [(agent_id, workers[agent_id].model_id) for agent_id in sorted(workers)]
     hint = capability_hint(onthefly.capability, roster_models)
     state = load_level(level, len(specs), episode_seed)
-    informed = run_episode(
-        ControllerMode.PLANNER, state, workers=_build_workers(specs, state.agent_ids(), seed),
-        planner=_policy_from_spec("planner", planner_spec), budget=budget,
-        capability_block=hint,
-    )
+    policies = _mode_policies(ControllerMode.PLANNER, state.agent_ids(), seed, bindings)
+    informed = run_episode(ControllerMode.PLANNER, state, budget=budget, capability_block=hint, **policies)
 
     output.mkdir(parents=True, exist_ok=True)
     _write_episode_artifacts(output / "onthefly", onthefly, level, len(specs), episode_seed, budget)
     _write_episode_artifacts(output / "informed", informed, level, len(specs), episode_seed, budget)
 
-    eff_on = onthefly.efficiency_report()
-    eff_in = informed.efficiency_report()
+    eff_on = onthefly.efficiency.efficiency
+    eff_in = informed.efficiency.efficiency
     comparison = {
         "workers": specs,
         "capability_hint": hint,
         "onthefly": {
             "completed_orders": onthefly.completed_orders,
-            "efficiency": None if eff_on.efficiency is None else float(eff_on.efficiency),
+            "efficiency": None if eff_on is None else float(eff_on),
         },
         "informed": {
             "completed_orders": informed.completed_orders,
-            "efficiency": None if eff_in.efficiency is None else float(eff_in.efficiency),
+            "efficiency": None if eff_in is None else float(eff_in),
         },
         "completed_delta": informed.completed_orders - onthefly.completed_orders,
         "efficiency_delta": (
-            float(eff_in.efficiency - eff_on.efficiency)
-            if eff_in.efficiency is not None and eff_on.efficiency is not None
-            else None
+            float(eff_in - eff_on) if eff_in is not None and eff_on is not None else None
         ),
     }
     _dump_json(output / "comparison.json", comparison)

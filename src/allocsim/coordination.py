@@ -26,6 +26,15 @@ same way keeps its prior plan and counts a replan failure. Within one
 episode the roster and location ids are fixed, so :func:`run_episode`
 parses each distinct response text once and reuses the frozen result.
 
+Each step, every agent gets one decision: its parsed action, or the
+reason (a gateway failure, unparseable text, an action naming another
+agent) that makes it noop. Both topology branches fill the same decision
+record, and the step's actions, fallback notes, action histogram and
+capability counters are all read off it. An agent's capability cell is
+keyed by the model that decides for it: the central policy's in
+orchestrator mode, its own worker's otherwise. The report's
+:class:`EfficiencyReport` is computed once, when the episode ends.
+
 :func:`run_episode` is the one place where a step is taken and recorded;
 ``replay`` re-runs it on a trace's action texts. Policies and planners
 read the live episode state and must not mutate it; ``kitchen.step``
@@ -354,6 +363,9 @@ class EpisodeReport:
 
     ``trace`` holds one JSON-ready record per step. The records are
     read-only: equal results share one dict and equal actions one text.
+    ``efficiency`` is the episode's :class:`EfficiencyReport`, computed
+    once when the episode ends from ``completed_orders``, ``ledger`` and
+    ``action_counts``.
     """
 
     mode: ControllerMode
@@ -361,6 +373,7 @@ class EpisodeReport:
     completed_orders: int
     event_log: tuple[KitchenEvent, ...]
     action_counts: dict[str, int]
+    efficiency: EfficiencyReport
     ledger: CostLedger
     capability: CapabilityProfile
     planner_prompts: list[str]
@@ -378,11 +391,7 @@ class EpisodeReport:
     def planner_invocations(self) -> int:
         return len(self.planner_prompts)
 
-    def efficiency_report(self) -> EfficiencyReport:
-        return efficiency(self.completed_orders, self.ledger, self.action_counts)
-
     def to_json_dict(self) -> dict[str, Any]:
-        eff = self.efficiency_report()
         return {
             "mode": self.mode.value,
             "agent_count": self.agent_count,
@@ -390,8 +399,8 @@ class EpisodeReport:
             "completed_orders": self.completed_orders,
             "events": [e.to_json_dict() for e in self.event_log],
             "action_counts": dict(self.action_counts),
-            "action_histogram": eff.action_histogram,
-            "efficiency": eff.to_json_dict(),
+            "action_histogram": self.efficiency.action_histogram,
+            "efficiency": self.efficiency.to_json_dict(),
             "ledger": self.ledger.to_json_dict(),
             "capability": self.capability.to_json_dict(),
             "planner_invocations": self.planner_invocations,
@@ -406,13 +415,12 @@ class EpisodeReport:
         }
 
 
-def _call_policy(
-    policy: Policy, query: PolicyQuery, state: KitchenState
-) -> tuple[PolicyResponse | None, str | None]:
+def _call_policy(policy: Policy, query: PolicyQuery, state: KitchenState) -> PolicyResponse | str:
+    """The policy's response, or the reason a gateway failure left none."""
     try:
-        return policy.respond(query, state), None
+        return policy.respond(query, state)
     except GatewayError as exc:
-        return None, f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}"
 
 
 def run_episode(
@@ -429,8 +437,9 @@ def run_episode(
 
     Policy bindings must match the mode: Individual takes one worker per
     agent, Orchestrator one central policy, Planner a planner backend
-    plus one worker per agent. Gateway failures and unparseable
-    responses degrade to logged noops; they never abort the episode.
+    plus one worker per agent; a policy the mode does not use is ignored.
+    Gateway failures and unparseable responses degrade to logged noops;
+    they never abort the episode.
     """
     roster = state.agent_ids()
     location_ids = sorted(state.locations)
@@ -442,6 +451,12 @@ def run_episode(
         raise ValueError("orchestrator mode needs a central policy")
     if mode is ControllerMode.PLANNER and planner is None:
         raise ValueError("planner mode needs a planner backend")
+
+    # the model an agent's actions are credited to in the capability profile
+    if mode is ControllerMode.ORCHESTRATOR:
+        models = dict.fromkeys(roster, central.model_id)
+    else:
+        models = {agent_id: workers[agent_id].model_id for agent_id in roster}
 
     ledger = CostLedger()
     profile = CapabilityProfile()
@@ -469,7 +484,6 @@ def run_episode(
 
     def replan(events: Sequence[KitchenEvent]) -> None:
         nonlocal plan, replan_failures
-        assert planner is not None
         outcome = planner_replan(
             observation,
             events,
@@ -496,75 +510,47 @@ def run_episode(
         replan(tuple(events))
 
     for _ in range(total_steps):
-        actions: dict[str, KitchenAction] = {}
-        pre_failed: dict[str, str | None] = {}
-        acting_model: dict[str, str] = {}
-
+        # each agent's parsed action, or the reason it noops this step
+        decided: dict[str, KitchenAction | str] = {}
         if mode is ControllerMode.ORCHESTRATOR:
-            assert central is not None
             query = PolicyQuery(observation=observation, agent_id="__central__")
-            response, failure = _call_policy(central, query, state)
+            response = _call_policy(central, query, state)
             policy_calls["orchestrator"] += 1
-            for agent_id in roster:
-                acting_model[agent_id] = central.model_id
-            if response is None:
-                for agent_id in roster:
-                    actions[agent_id] = Noop(agent_id)
-                    pre_failed[agent_id] = failure
+            if isinstance(response, str):
+                decided = dict.fromkeys(roster, response)
             else:
                 record_billing(response, central.model_id, "orchestrator", state.step)
-                decisions = parse_joint(response.text)
+                joint = parse_joint(response.text)
                 for agent_id in roster:
-                    action = decisions.get(agent_id)
-                    if action is None:
-                        actions[agent_id] = Noop(agent_id)
-                        pre_failed[agent_id] = "unparseable joint action"
-                    else:
-                        actions[agent_id] = action
-                        pre_failed[agent_id] = None
+                    action = joint.get(agent_id)
+                    decided[agent_id] = "unparseable joint action" if action is None else action
         else:
-            assert workers is not None
             for agent_id in roster:
-                policy = workers[agent_id]
-                acting_model[agent_id] = policy.model_id
-                directives = None
-                if mode is ControllerMode.PLANNER and plan is not None:
-                    directives = plan.directives[agent_id]
-                query = PolicyQuery(
-                    observation=observation,
-                    agent_id=agent_id,
-                    directives=directives,
-                )
-                response, failure = _call_policy(policy, query, state)
+                directives = None if plan is None else plan.directives[agent_id]
+                query = PolicyQuery(observation=observation, agent_id=agent_id, directives=directives)
+                response = _call_policy(workers[agent_id], query, state)
                 policy_calls["worker"] += 1
-                if response is None:
-                    actions[agent_id] = Noop(agent_id)
-                    pre_failed[agent_id] = failure
+                if isinstance(response, str):
+                    decided[agent_id] = response
                     continue
-                record_billing(response, policy.model_id, f"worker:{agent_id}", state.step)
+                record_billing(response, models[agent_id], f"worker:{agent_id}", state.step)
                 action = parse(response.text)
                 if action is None:
-                    actions[agent_id] = Noop(agent_id)
-                    pre_failed[agent_id] = "unparseable action"
+                    decided[agent_id] = "unparseable action"
                 elif action.agent != agent_id:
-                    actions[agent_id] = Noop(agent_id)
-                    pre_failed[agent_id] = "action names another agent"
+                    decided[agent_id] = "action names another agent"
                 else:
-                    actions[agent_id] = action
-                    pre_failed[agent_id] = None
+                    decided[agent_id] = action
 
+        actions = {a: Noop(a) if isinstance(d, str) else d for a, d in decided.items()}
         outcome = kitchen_step(state, actions)
         step_index = state.step
-        for agent_id in roster:
+        for agent_id, decision in decided.items():
             histogram[action_kind(actions[agent_id])] += 1
-            failure = pre_failed.get(agent_id)
-            if failure is not None:
-                fallbacks.append(FallbackNote(step_index, agent_id, failure))
-                profile.update(agent_id, acting_model[agent_id], False)
-            else:
-                profile.update(
-                    agent_id, acting_model[agent_id], outcome.per_agent_result[agent_id].ok
-                )
+            if isinstance(decision, str):
+                fallbacks.append(FallbackNote(step_index, agent_id, decision))
+            ok = not isinstance(decision, str) and outcome.per_agent_result[agent_id].ok
+            profile.update(agent_id, models[agent_id], ok)
         state = outcome.next_state
         observation = render_observation(state)
         events.extend(outcome.events)
@@ -580,12 +566,14 @@ def run_episode(
         if mode is ControllerMode.PLANNER and outcome.events:
             replan(outcome.events)
 
+    action_counts = dict(histogram)
     return EpisodeReport(
         mode=mode,
         agent_count=len(roster),
         completed_orders=state.completed_count,
         event_log=tuple(events),
-        action_counts=dict(histogram),
+        action_counts=action_counts,
+        efficiency=efficiency(state.completed_count, ledger, action_counts),
         ledger=ledger,
         capability=profile,
         planner_prompts=planner_prompts,

@@ -192,7 +192,7 @@ def test_c10_action_histogram():
     for level_id in ("level_1", "level_2", "level_3"):
         for agents in (1, 2):
             report = scripted_individual_episode(get_level(level_id), agents, seed=5)
-            histogram = report.efficiency_report().action_histogram
+            histogram = report.efficiency.action_histogram
             assert sum(histogram.values()) == pytest.approx(1.0, abs=1e-9)
             assert sum(report.action_counts.values()) == report.steps * agents
 
@@ -214,7 +214,7 @@ def test_c10_action_histogram():
         ControllerMode.INDIVIDUAL, state,
         workers={"agent0": RecordedWorker(script)}, budget=10,
     )
-    histogram = report.efficiency_report().action_histogram
+    histogram = report.efficiency.action_histogram
     assert histogram == {
         "goto": 0.3, "get": 0.2, "put": 0.2, "activate": 0.1, "noop": 0.2,
     }

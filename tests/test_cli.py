@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allocsim import assignment as asg
+from allocsim import coordination
 from allocsim.assignment import brute_force_solve, generate_instance
 from allocsim.cli import build_parser, main
 from allocsim.coordination import parse_action
@@ -483,6 +484,22 @@ class TestCapabilitySweep:
 
     def test_roster_required(self, tmp_path):
         assert main(["capability-sweep", "--seed", "1", "--output", str(tmp_path / "x")]) == 2
+
+    def test_each_arm_computes_its_efficiency_once(self, tmp_path, monkeypatch):
+        reports = []
+
+        def counted(*args):
+            reports.append(efficiency(*args))
+            return reports[-1]
+
+        efficiency = coordination.efficiency
+        monkeypatch.setattr(coordination, "efficiency", counted)
+        out = tmp_path / "cs"
+        assert main(["capability-sweep", "--seed", "1", "--level", "level_1", "--budget", "20",
+                     "--workers", "scripted:0.0,scripted:0.5", "--output", str(out)]) == 0
+        assert len(reports) == 2
+        for arm, report in zip(("onthefly", "informed"), reports):
+            assert read_json(out / arm / "efficiency.json") == report.to_json_dict()
 
 
 def _tree(root: Path) -> dict[str, bytes]:
