@@ -61,7 +61,6 @@ from .gateway import (
 from .kitchen import (
     KitchenState,
     LevelConfig,
-    legal_actions,
     load_level,
     observation_hash,
     render_observation,

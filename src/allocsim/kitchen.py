@@ -705,31 +705,6 @@ def step(state: KitchenState, joint: Mapping[str, KitchenAction]) -> StepOutcome
     return StepOutcome(nxt, tuple(events), results)
 
 
-def legal_actions(state: KitchenState, agent_id: str) -> list[KitchenAction]:
-    """Every action that would succeed for this agent right now, plus noop."""
-    if agent_id not in state.agents:
-        raise UnknownAgent(agent_id)
-    agent = state.agents[agent_id]
-    actions: list[KitchenAction] = []
-    for loc_id in sorted(state.locations):
-        actions.append(Goto(agent_id, loc_id))
-    here = state.locations[agent.at]
-    if agent.holding is None and not here.busy:
-        for item in sorted(here.contents):
-            if here.contents[item] > 0:
-                actions.append(Get(agent_id, here.id, item))
-    if agent.holding is not None and not here.busy:
-        actions.append(Put(agent_id, here.id))
-    if (
-        here.kind is LocationKind.TOOL
-        and not here.busy
-        and _match_recipe_step(state.config, here.tool_kind or "", here.contents) is not None
-    ):
-        actions.append(Activate(agent_id, here.id))
-    actions.append(Noop(agent_id))
-    return actions
-
-
 # --- observation rendering ---------------------------------------------------
 
 
@@ -781,24 +756,3 @@ def observation_text_hash(observation: str) -> str:
 
 def observation_hash(state: KitchenState) -> str:
     return observation_text_hash(render_observation(state))
-
-
-# --- bookkeeping helpers ------------------------------------------------------
-
-
-def item_census(state: KitchenState) -> Counter:
-    """Multiset of every item at a location or in an agent's hands."""
-    census: Counter = Counter()
-    for loc in state.locations.values():
-        census.update(loc.contents)
-    for agent in state.agents.values():
-        if agent.holding is not None:
-            census[agent.holding] += 1
-    return census
-
-
-def order_accounting_ok(state: KitchenState) -> bool:
-    """introduced == completed + expired + live, at any point in time."""
-    return state.next_spawn_index == (
-        len(state.completed_dishes) + state.expired_count + len(state.orders)
-    )

@@ -1,16 +1,30 @@
-"""Shared test helpers: randomized level generation, episode running and
-reading CLI artifacts back."""
+"""Shared test helpers: randomized level generation, episode running,
+kitchen bookkeeping checks and reading CLI artifacts back."""
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from allocsim.assignment import Candidate, CostMatrix
 from allocsim.coordination import ControllerMode, run_episode
-from allocsim.kitchen import LevelConfig, load_level
+from allocsim.kitchen import (
+    Activate,
+    Get,
+    Goto,
+    KitchenAction,
+    KitchenState,
+    LevelConfig,
+    LocationKind,
+    Noop,
+    Put,
+    UnknownAgent,
+    _match_recipe_step,
+    load_level,
+)
 from allocsim.policies import ScriptedPlanner, ScriptedWorker
 
 
@@ -94,6 +108,49 @@ def stretched_level(name: str, horizon: int) -> dict:
         if "stock" in loc:
             loc["stock"] = {item: orders for item in loc["stock"]}
     return payload
+
+
+def legal_actions(state: KitchenState, agent_id: str) -> list[KitchenAction]:
+    """Every action that would succeed for this agent right now, plus noop."""
+    if agent_id not in state.agents:
+        raise UnknownAgent(agent_id)
+    agent = state.agents[agent_id]
+    actions: list[KitchenAction] = []
+    for loc_id in sorted(state.locations):
+        actions.append(Goto(agent_id, loc_id))
+    here = state.locations[agent.at]
+    if agent.holding is None and not here.busy:
+        for item in sorted(here.contents):
+            if here.contents[item] > 0:
+                actions.append(Get(agent_id, here.id, item))
+    if agent.holding is not None and not here.busy:
+        actions.append(Put(agent_id, here.id))
+    if (
+        here.kind is LocationKind.TOOL
+        and not here.busy
+        and _match_recipe_step(state.config, here.tool_kind or "", here.contents) is not None
+    ):
+        actions.append(Activate(agent_id, here.id))
+    actions.append(Noop(agent_id))
+    return actions
+
+
+def item_census(state: KitchenState) -> Counter:
+    """Multiset of every item at a location or in an agent's hands."""
+    census: Counter = Counter()
+    for loc in state.locations.values():
+        census.update(loc.contents)
+    for agent in state.agents.values():
+        if agent.holding is not None:
+            census[agent.holding] += 1
+    return census
+
+
+def order_accounting_ok(state: KitchenState) -> bool:
+    """introduced == completed + expired + live, at any point in time."""
+    return state.next_spawn_index == (
+        len(state.completed_dishes) + state.expired_count + len(state.orders)
+    )
 
 
 def scripted_individual_episode(level: LevelConfig, agents: int, seed: int, budget: int | None = None):

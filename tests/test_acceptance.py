@@ -30,7 +30,7 @@ from allocsim.assignment import (
 )
 from allocsim.coordination import ControllerMode, run_episode
 from allocsim.gateway import MockEntry, ModelBinding, install_mock
-from allocsim.kitchen import load_level, order_accounting_ok, step
+from allocsim.kitchen import load_level, step
 from allocsim.levels import get_level
 from allocsim.policies import (
     FlakyWorker,
@@ -42,7 +42,7 @@ from allocsim.policies import (
 )
 from allocsim.seeding import derive_seed
 
-from conftest import random_level, scripted_individual_episode, scripted_planner_episode
+from conftest import order_accounting_ok, random_level, scripted_individual_episode, scripted_planner_episode
 
 
 def ok(criterion: int, message: str) -> None:

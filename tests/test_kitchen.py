@@ -29,17 +29,20 @@ from allocsim.kitchen import (
     Put,
     UnknownAgent,
     UnknownLocation,
-    item_census,
-    legal_actions,
     load_level,
     observation_hash,
-    order_accounting_ok,
     render_observation,
     step,
 )
 from allocsim.levels import BUILTIN_LEVELS, get_level
 
-from conftest import random_level, scripted_individual_episode
+from conftest import (
+    item_census,
+    legal_actions,
+    order_accounting_ok,
+    random_level,
+    scripted_individual_episode,
+)
 
 
 def noop_joint(state):
