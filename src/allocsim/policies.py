@@ -61,18 +61,15 @@ def sticky_tool(state: KitchenState, tool_kind: str, ordinal: int) -> str:
     return tools[ordinal % len(tools)]
 
 
+def _pipeline_tools(state: KitchenState, dish: str, ordinal: int) -> list[str]:
+    """The tool instance of each recipe step of an order, in step order."""
+    return [sticky_tool(state, step.tool_kind, ordinal) for step in state.config.recipe_for(dish).steps]
+
+
 def order_units(state: KitchenState, order: DishOrder) -> list[WorkUnit]:
-    recipe = state.config.recipe_for(order.dish)
-    units = [
-        WorkUnit(
-            order.ordinal,
-            order.dish,
-            s,
-            sticky_tool(state, recipe.steps[s].tool_kind, order.ordinal),
-        )
-        for s in range(len(recipe.steps))
-    ]
-    units.append(WorkUnit(order.ordinal, order.dish, None, units[-1].tool_id))
+    tools = _pipeline_tools(state, order.dish, order.ordinal)
+    units = [WorkUnit(order.ordinal, order.dish, s, tool) for s, tool in enumerate(tools)]
+    units.append(WorkUnit(order.ordinal, order.dish, None, tools[-1]))
     return units
 
 
@@ -88,14 +85,6 @@ def _recovery_claimant(state: KitchenState, dish: str) -> int | None:
     return min(ordinals) if ordinals else None
 
 
-def _pipeline_tools(state: KitchenState, unit: WorkUnit) -> list[str]:
-    recipe = state.config.recipe_for(unit.dish)
-    return [
-        sticky_tool(state, recipe.steps[s].tool_kind, unit.order_ordinal)
-        for s in range(len(recipe.steps))
-    ]
-
-
 def _downstream_done(state: KitchenState, agent_id: str, unit: WorkUnit) -> bool:
     """Has this cook step's output (or a later step's) been produced already?
 
@@ -107,7 +96,7 @@ def _downstream_done(state: KitchenState, agent_id: str, unit: WorkUnit) -> bool
     """
     assert unit.step_index is not None
     recipe = state.config.recipe_for(unit.dish)
-    tools = _pipeline_tools(state, unit)
+    tools = _pipeline_tools(state, unit.dish, unit.order_ordinal)
     me = state.agents[agent_id]
     for s in range(unit.step_index, len(recipe.steps)):
         output = recipe.steps[s].output
@@ -139,20 +128,14 @@ def _cook_input_sources(state: KitchenState, unit: WorkUnit, item: str) -> list[
     recipe = state.config.recipe_for(unit.dish)
     sources: list[str] = []
     if unit.step_index > 0 and recipe.steps[unit.step_index - 1].output == item:
-        sources.append(_pipeline_tools(state, unit)[unit.step_index - 1])
+        sources.append(_pipeline_tools(state, unit.dish, unit.order_ordinal)[unit.step_index - 1])
     if item in state.config.produced_items:
         if _recovery_claimant(state, unit.dish) == unit.order_ordinal:
             sources.extend(state.config.storage_ids)
             sources.append(state.config.serving_table_id)
     else:
         sources.extend(state.config.storage_ids)
-    seen: set[str] = set()
-    ordered = []
-    for loc_id in sources:
-        if loc_id not in seen:
-            seen.add(loc_id)
-            ordered.append(loc_id)
-    return ordered
+    return list(dict.fromkeys(sources))
 
 
 def _stash_action(state: KitchenState, agent_id: str) -> KitchenAction:
@@ -369,12 +352,12 @@ class FlakyWorker:
     reliability.
     """
 
-    def __init__(self, inner: Policy, failure_rate: float, seed: int, model_id: str | None = None):
+    def __init__(self, inner: Policy, failure_rate: float, seed: int):
         if not 0.0 <= failure_rate <= 1.0:
             raise ValueError("failure_rate must lie in [0, 1]")
         self.inner = inner
         self.failure_rate = failure_rate
-        self.model_id = model_id or inner.model_id
+        self.model_id = inner.model_id
         self._rng = random.Random(seed)
 
     def respond(self, query: PolicyQuery, state: KitchenState) -> PolicyResponse:
