@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import tracemalloc
 
@@ -356,6 +357,46 @@ class TestRunEpisode:
         assert [(r.tokens_in, r.tokens_out) for r in rows] == [
             (100 + i, 10 + i) for i in range(5)
         ]
+
+
+def _salmon_routine(agent, blender):
+    """Action texts that cook and serve one salmonMeatcake on level_1."""
+    return [f"goto({agent}, storage0)", f"get({agent}, storage0, salmon)", f"goto({agent}, {blender})",
+            f"put({agent}, {blender})", f"activate({agent}, {blender})", f"noop({agent})", f"noop({agent})",
+            f"get({agent}, {blender}, salmonMeatcake)", f"goto({agent}, servingtable0)", f"put({agent}, servingtable0)"]
+
+
+def _mock_texts(texts):
+    return install_mock([MockEntry(text=t, tokens_in=10, tokens_out=2) for t in texts])
+
+
+def _episode_policies(mode, roster, backing):
+    """Every policy ``mode`` reads, scripted or behind mock transports that outlast a level_1 episode."""
+    if backing == "scripted":
+        workers = {a: ScriptedWorker() for a in roster}
+        return {"workers": workers, "central": ScriptedOrchestrator(), "planner": ScriptedPlanner()}
+    binding = ModelBinding(model_id="gpt-4o-mini")
+    routines = {a: _salmon_routine(a, f"blender{i}") * 6 for i, a in enumerate(roster)}
+    plan = "agent0: cook step 0 of salmonMeatcake (order 0) at blender0\nagent1: deliver salmonMeatcake (order 0) from blender0"
+    return {
+        "workers": {a: GatewayWorker(binding, _mock_texts(routines[a])) for a in roster},
+        "central": GatewayOrchestrator(binding, _mock_texts("\n".join(lines) for lines in zip(*routines.values()))),
+        "planner": GatewayPlanner(binding, _mock_texts([plan] * 61)),
+    }
+
+
+class TestInputState:
+    @pytest.mark.parametrize("budget", [None, 25])
+    @pytest.mark.parametrize("backing", ["scripted", "mock"])
+    @pytest.mark.parametrize("mode", list(ControllerMode), ids=lambda m: m.value)
+    def test_run_episode_leaves_its_input_alone(self, mode, backing, budget, level_1):
+        state = load_level(level_1, 2, seed=3)
+        before = copy.deepcopy(state)
+        report = run_episode(mode, state, budget=budget, **_episode_policies(mode, state.agent_ids(), backing))
+
+        assert report.steps == (budget or level_1.max_steps)
+        assert report.final_observation_hash != observation_hash(before)
+        assert state == before
 
 
 class _ObservationCheck:
