@@ -492,8 +492,10 @@ def cmd_capability_sweep(args: argparse.Namespace) -> int:
     episode_seed = derive_seed(seed, "sweep")
     bindings = {"workers": specs, "planner": conf.get("bindings", {}).get("planner")}
 
-    # pass 1: on-the-fly -- the planner knows nothing about its workers
+    # both passes start from this state; run_episode leaves it as it was
     state = load_level(level, len(specs), episode_seed)
+
+    # pass 1: on-the-fly -- the planner knows nothing about its workers
     policies = _mode_policies(ControllerMode.PLANNER, state.agent_ids(), seed, bindings)
     onthefly = run_episode(ControllerMode.PLANNER, state, budget=budget, **policies)
 
@@ -501,7 +503,6 @@ def cmd_capability_sweep(args: argparse.Namespace) -> int:
     workers = policies["workers"]
     roster_models = [(agent_id, workers[agent_id].model_id) for agent_id in sorted(workers)]
     hint = capability_hint(onthefly.capability, roster_models)
-    state = load_level(level, len(specs), episode_seed)
     policies = _mode_policies(ControllerMode.PLANNER, state.agent_ids(), seed, bindings)
     informed = run_episode(ControllerMode.PLANNER, state, budget=budget, capability_block=hint, **policies)
 

@@ -36,10 +36,13 @@ orchestrator mode, its own worker's otherwise. The report's
 :class:`EfficiencyReport` is computed once, when the episode ends.
 
 :func:`run_episode` is the one place where a step is taken and recorded;
-``replay`` re-runs it on a trace's action texts. Policies and planners
-read the live episode state and must not mutate it; ``kitchen.step``
-never mutates its input, so no copy is taken. The state holds only the
-present: :func:`run_episode` keeps the episode's events.
+``replay`` re-runs it on a trace's action texts. ``kitchen.step``
+changes the state it is given, so :func:`run_episode` copies its input
+once and steps that copy; the caller's state is left as it was, and one
+state can seed several episodes. Policies and planners read the live
+episode state: they must not mutate it, and must not keep it, since it
+changes after they return. The state holds only the present:
+:func:`run_episode` keeps the episode's events.
 
 Each state is rendered once: the text of the state a step produces is the
 observation the next step's policies see, the prompt of a replan after
@@ -194,7 +197,11 @@ class PolicyResponse:
 
 
 class Policy(Protocol):
-    """Answers a query in free text; reads the live ``state`` and must not mutate it."""
+    """Answers a query in free text.
+
+    ``state`` is the live episode state: the policy must not mutate it,
+    and must not keep it, since the next step changes it in place.
+    """
 
     model_id: str
 
@@ -202,7 +209,11 @@ class Policy(Protocol):
 
 
 class PlannerBackend(Protocol):
-    """Plans (``None`` when it cannot); reads the live ``state`` and must not mutate it."""
+    """Plans (``None`` when it cannot).
+
+    ``state`` is the live episode state: the planner must not mutate it,
+    and must not keep it, since the next step changes it in place.
+    """
 
     model_id: str
 
@@ -439,7 +450,8 @@ def run_episode(
     agent, Orchestrator one central policy, Planner a planner backend
     plus one worker per agent; a policy the mode does not use is ignored.
     Gateway failures and unparseable responses degrade to logged noops;
-    they never abort the episode.
+    they never abort the episode. ``state`` is left as it was: the episode
+    steps a copy of it.
     """
     roster = state.agent_ids()
     location_ids = sorted(state.locations)
@@ -458,6 +470,7 @@ def run_episode(
     else:
         models = {agent_id: workers[agent_id].model_id for agent_id in roster}
 
+    state = state.copy()  # the one copy of the episode; every step changes it in place
     ledger = CostLedger()
     profile = CapabilityProfile()
     histogram: Counter = Counter()
@@ -543,15 +556,14 @@ def run_episode(
                     decided[agent_id] = action
 
         actions = {a: Noop(a) if isinstance(d, str) else d for a, d in decided.items()}
-        outcome = kitchen_step(state, actions)
         step_index = state.step
+        outcome = kitchen_step(state, actions)
         for agent_id, decision in decided.items():
             histogram[action_kind(actions[agent_id])] += 1
             if isinstance(decision, str):
                 fallbacks.append(FallbackNote(step_index, agent_id, decision))
             ok = not isinstance(decision, str) and outcome.per_agent_result[agent_id].ok
             profile.update(agent_id, models[agent_id], ok)
-        state = outcome.next_state
         observation = render_observation(state)
         events.extend(outcome.events)
         trace.append(

@@ -7,7 +7,7 @@ before the corresponding order expires. The action space is
 ``goto/get/put/activate/noop``; the observation is a fixed text rendering
 of the full state.
 
-Step pipeline, in order:
+Step pipeline, applied to the state in place, in order:
 
 1. actions resolve sequentially by ascending agent id -- an action that
    fails only because an earlier agent's action beat it to a resource is
@@ -426,6 +426,11 @@ class ActionResult:
         return {"ok": self.ok, "reason": self.reason.value if self.reason else None}
 
 
+# every step hands out these shared results: one success, one failure per reason
+_SUCCEEDED = ActionResult(True)
+_FAILED = {reason: ActionResult(False, reason) for reason in FailReason}
+
+
 def _copy_counter(counter: Counter) -> Counter:
     """``Counter(counter)``, filled by ``dict.update`` in C rather than ``Counter.update`` in Python."""
     copied = Counter.__new__(Counter)
@@ -448,12 +453,15 @@ class KitchenState:
     def copy(self) -> "KitchenState":
         """Copy of the mutable state, by hand, field by field.
 
-        The immutable ``config`` and ``dish_schedule`` are shared with the
-        original. Everything mutable is new: each agent, each location with
-        its ``contents`` Counter and its ``processing``, the ``orders`` list
-        and each order, and the ``completed_dishes`` list. ``copy.deepcopy``
-        stays on as the oracle in the tests, which hold this copy equal to
-        it and check that every field of the class is listed here.
+        :func:`step` changes the state it is given, so a caller that needs
+        the state as it was takes this copy first; ``run_episode`` takes
+        one per episode, of its input. The immutable ``config`` and
+        ``dish_schedule`` are shared with the original. Everything mutable
+        is new: each agent, each location with its ``contents`` Counter and
+        its ``processing``, the ``orders`` list and each order, and the
+        ``completed_dishes`` list. ``copy.deepcopy`` stays on as the oracle
+        in the tests, which hold this copy equal to it and check that every
+        field of the class is listed here.
         """
         return KitchenState(
             config=self.config,
@@ -487,7 +495,8 @@ class KitchenState:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    next_state: KitchenState
+    """What one :func:`step` did; the stepped state itself is the one passed in."""
+
     events: tuple[KitchenEvent, ...]
     per_agent_result: dict[str, ActionResult]
 
@@ -636,35 +645,38 @@ def _validate_joint(state: KitchenState, joint: Mapping[str, KitchenAction]) -> 
 
 
 def step(state: KitchenState, joint: Mapping[str, KitchenAction]) -> StepOutcome:
-    """Advance the simulation one step under a joint action.
+    """Advance ``state`` one step under a joint action, in place.
 
     In-world impossibilities become per-agent failures; only unknown
-    agent/location ids raise. The input state is left untouched.
+    agent/location ids raise, before anything changes. Every action is
+    checked against the pre-step state before any is applied, so an action
+    that was fine then and fails once earlier agents have acted is told
+    apart as contention. A caller that needs the prior state copies it
+    first with :meth:`KitchenState.copy`.
     """
     if state.step >= state.config.max_steps:
         raise EpisodeOver(f"episode already ran its {state.config.max_steps} steps")
     _validate_joint(state, joint)
 
     t = state.step
-    nxt = state.copy()
+    agent_ids = sorted(joint)
+    fine_before = [_check_action(state, joint[agent_id]) is None for agent_id in agent_ids]
     events: list[KitchenEvent] = []
     results: dict[str, ActionResult] = {}
 
-    for agent_id in sorted(joint):
+    for agent_id, fine in zip(agent_ids, fine_before):
         action = joint[agent_id]
-        reason = _check_action(nxt, action)
+        reason = _check_action(state, action)
         if reason is None:
-            events.extend(_apply_action(nxt, action))
-            results[agent_id] = ActionResult(True)
+            events.extend(_apply_action(state, action))
+            results[agent_id] = _SUCCEEDED
         else:
             # an action that was fine against the pre-step state lost a
             # race to an earlier agent this step
-            if _check_action(state, action) is None:
-                reason = FailReason.CONTENTION
-            results[agent_id] = ActionResult(False, reason)
+            results[agent_id] = _FAILED[FailReason.CONTENTION if fine else reason]
 
-    for loc_id in sorted(nxt.locations):
-        loc = nxt.locations[loc_id]
+    # each countdown touches only its own location, so the order is free
+    for loc in state.locations.values():
         if loc.processing is not None:
             loc.processing.remaining_steps -= 1
             if loc.processing.remaining_steps == 0:
@@ -672,37 +684,37 @@ def step(state: KitchenState, joint: Mapping[str, KitchenAction]) -> StepOutcome
                 loc.processing = None
 
     still_live: list[DishOrder] = []
-    for order in nxt.orders:
+    for order in state.orders:
         if order.issued_at <= t:
             order.lifetime -= 1
             if order.lifetime == 0:
-                nxt.expired_count += 1
+                state.expired_count += 1
                 events.append(KitchenEvent(EventKind.ORDER_EXPIRED, order.dish, t))
                 continue
         still_live.append(order)
-    nxt.orders = still_live
+    state.orders = still_live
 
     upcoming = t + 1
-    schedule = nxt.config.order_schedule
+    schedule = state.config.order_schedule
     if (
-        upcoming < nxt.config.max_steps
+        upcoming < state.config.max_steps
         and upcoming % schedule.spawn_interval == 0
-        and nxt.next_spawn_index < len(nxt.dish_schedule)
+        and state.next_spawn_index < len(state.dish_schedule)
     ):
-        dish = nxt.dish_schedule[nxt.next_spawn_index]
-        nxt.orders.append(
+        dish = state.dish_schedule[state.next_spawn_index]
+        state.orders.append(
             DishOrder(
                 dish=dish,
                 lifetime=schedule.lifetime,
                 issued_at=upcoming,
-                ordinal=nxt.next_spawn_index,
+                ordinal=state.next_spawn_index,
             )
         )
-        nxt.next_spawn_index += 1
+        state.next_spawn_index += 1
         events.append(KitchenEvent(EventKind.ORDER_INTRODUCED, dish, t))
 
-    nxt.step = upcoming
-    return StepOutcome(nxt, tuple(events), results)
+    state.step = upcoming
+    return StepOutcome(tuple(events), results)
 
 
 # --- observation rendering ---------------------------------------------------

@@ -250,7 +250,6 @@ def reference_replay(trace: Path) -> int:
         except EpisodeOver:
             print(f"replay: step {record.get('step')} exceeds the episode length")
             return 1
-        state = outcome.next_state
         replayed = {
             "step": step_index,
             "actions": {agent: action.to_text() for agent, action in actions.items()},

@@ -398,6 +398,22 @@ class TestInputState:
         assert report.final_observation_hash != observation_hash(before)
         assert state == before
 
+    @pytest.mark.parametrize("budget", [0, 1, 60])
+    @pytest.mark.parametrize("mode", list(ControllerMode), ids=lambda m: m.value)
+    def test_one_copy_per_episode(self, mode, budget, level_1, monkeypatch):
+        copies = []
+        copy_state = kitchen.KitchenState.copy
+
+        def counting_copy(state):
+            copies.append(state.step)
+            return copy_state(state)
+
+        monkeypatch.setattr(kitchen.KitchenState, "copy", counting_copy)
+        state = load_level(level_1, 2, seed=3)
+        report = run_episode(mode, state, budget=budget, **_episode_policies(mode, state.agent_ids(), "scripted"))
+        assert report.steps == budget
+        assert copies == [0]
+
 
 class _ObservationCheck:
     """Wraps a policy or planner; checks it is shown the live state's text."""
@@ -427,7 +443,7 @@ class TestRenderOnce:
 
         def recording_step(state, joint):
             outcome = kitchen_step(state, joint)
-            stepped.append(outcome.next_state)
+            stepped.append(state.copy())  # the state changes again on the next step
             return outcome
 
         monkeypatch.setattr(coordination, "render_observation", counting_render)
@@ -444,6 +460,8 @@ class TestRenderOnce:
 
         assert report.steps == budget
         assert len(renders) == budget + 1
+        assert renders == list(range(budget + 1))  # every state, once each
+        assert [s.step for s in stepped] == list(range(1, budget + 1))
         assert [record["observation_hash"] for record in report.trace] == [observation_hash(s) for s in stepped]
         assert report.final_observation_hash == observation_hash(stepped[-1] if stepped else state)
         if mode is ControllerMode.PLANNER and budget == 25:

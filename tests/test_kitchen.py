@@ -50,14 +50,13 @@ def noop_joint(state):
 
 
 def run_actions(state, *joint_steps):
-    """Apply a sequence of partial joint actions (missing agents noop)."""
+    """Apply a sequence of partial joint actions (missing agents noop) to ``state`` in place."""
     events = []
     results = []
     for partial in joint_steps:
         joint = noop_joint(state)
         joint.update(partial)
         outcome = step(state, joint)
-        state = outcome.next_state
         events.extend(outcome.events)
         results.append(outcome.per_agent_result)
     return state, events, results
@@ -238,7 +237,7 @@ class TestStepSemantics:
     def test_max_steps_refuses_further_steps(self, level_1):
         state = load_level(level_1, 1, seed=0)
         for _ in range(60):
-            state = step(state, noop_joint(state)).next_state
+            step(state, noop_joint(state))
         assert state.step == 60
         with pytest.raises(EpisodeOver):
             step(state, noop_joint(state))
@@ -252,11 +251,14 @@ class TestStepSemantics:
         with pytest.raises(UnknownLocation):
             step(state, {"agent0": Goto("agent0", "atlantis")})
 
-    def test_input_state_not_mutated(self, level_1):
+    def test_step_applies_in_place(self, level_1):
         state = load_level(level_1, 1, seed=0)
+        prior = state.copy()
         before = render_observation(state)
-        step(state, {"agent0": Goto("agent0", "storage0")})
-        assert render_observation(state) == before
+        outcome = step(state, {"agent0": Goto("agent0", "storage0")})
+        assert outcome.per_agent_result["agent0"].ok
+        assert (state.step, state.agents["agent0"].at) == (1, "storage0")
+        assert render_observation(prior) == before
 
 
 class TestHandWrittenTrace:
@@ -364,7 +366,7 @@ class TestLegalActions:
                 for action in self._all_syntactic_actions(state, agent_id):
                     joint = noop_joint(state)
                     joint[agent_id] = action
-                    result = step(state, joint).per_agent_result[agent_id]
+                    result = step(state.copy(), joint).per_agent_result[agent_id]
                     if action in legal:
                         assert result.ok, (seed, action)
                     elif not isinstance(action, Noop):
@@ -374,7 +376,7 @@ class TestLegalActions:
                 for a in state.agent_ids():
                     choices = legal_actions(state, a)
                     joint[a] = choices[rng.randrange(len(choices))]
-                state = step(state, joint).next_state
+                step(state, joint)
                 if state.step >= state.config.max_steps:
                     break
 
@@ -394,35 +396,34 @@ def expected_census(before, outcome) -> Counter:
 
 class TestInvariants:
     def _scripted_walk(self, level, agents, seed, steps=None):
-        """Drive the env with the scripted oracle, yielding transitions."""
+        """Drive the env with the scripted oracle, yielding (prior state, stepped state, outcome)."""
         from allocsim.policies import scripted_individual_action
 
         state = load_level(level, agents, seed)
         limit = steps if steps is not None else level.max_steps
         for _ in range(min(limit, level.max_steps)):
             joint = {a: scripted_individual_action(state, a) for a in state.agent_ids()}
+            before = state.copy()
             outcome = step(state, joint)
-            yield state, outcome
-            state = outcome.next_state
+            yield before, state, outcome
 
     def test_item_conservation_exact(self):
         for seed in range(10):
             level = random_level(seed)
-            for before, outcome in self._scripted_walk(level, 1 + seed % 3, seed * 17):
-                assert item_census(outcome.next_state) == expected_census(before, outcome), (seed, before.step)
+            for before, after, outcome in self._scripted_walk(level, 1 + seed % 3, seed * 17):
+                assert item_census(after) == expected_census(before, outcome), (seed, before.step)
 
     def test_order_accounting_every_step(self):
         for seed in range(10):
             level = random_level(100 + seed)
-            for _, outcome in self._scripted_walk(level, 1 + seed % 3, seed):
-                assert order_accounting_ok(outcome.next_state)
+            for _, after, _ in self._scripted_walk(level, 1 + seed % 3, seed):
+                assert order_accounting_ok(after)
 
     def test_lifetime_strictly_decreases(self, level_1):
         state = load_level(level_1, 1, seed=0)
         for _ in range(level_1.max_steps):
             before = {(o.ordinal): o.lifetime for o in state.orders if o.issued_at <= state.step}
-            outcome = step(state, noop_joint(state))
-            state = outcome.next_state
+            step(state, noop_joint(state))
             after = {(o.ordinal): o.lifetime for o in state.orders}
             for ordinal, lifetime in before.items():
                 if ordinal in after:
@@ -434,11 +435,11 @@ class TestInvariants:
             runs = []
             for _ in range(2):
                 log = []
-                for _, outcome in self._scripted_walk(level, 1 + seed % 3, seed):
+                for _, after, outcome in self._scripted_walk(level, 1 + seed % 3, seed):
                     log.append(
                         (
                             tuple(e.to_json_dict().items() for e in outcome.events),
-                            observation_hash(outcome.next_state),
+                            observation_hash(after),
                         )
                     )
                 runs.append(log)
@@ -601,6 +602,69 @@ class TestCopy:
         assert all(a is not b for a, b in zip(dup.orders, state.orders))
 
 
+def reference_step(state, joint):
+    """The copy-then-apply step that ``kitchen.step`` replaced, kept as its oracle.
+
+    ``state`` is left untouched: the actions are applied one by one to a
+    deep copy, and an action failing on the copy that succeeds on ``state``
+    lost a race to an earlier agent. Returns the next state, the events
+    and the per-agent results.
+    """
+    if state.step >= state.config.max_steps:
+        raise EpisodeOver(f"episode already ran its {state.config.max_steps} steps")
+    kitchen._validate_joint(state, joint)
+
+    t = state.step
+    nxt = copy.deepcopy(state)
+    events = []
+    results = {}
+
+    for agent_id in sorted(joint):
+        action = joint[agent_id]
+        reason = kitchen._check_action(nxt, action)
+        if reason is None:
+            events.extend(kitchen._apply_action(nxt, action))
+            results[agent_id] = kitchen.ActionResult(True)
+        else:
+            if kitchen._check_action(state, action) is None:
+                reason = FailReason.CONTENTION
+            results[agent_id] = kitchen.ActionResult(False, reason)
+
+    for loc_id in sorted(nxt.locations):
+        loc = nxt.locations[loc_id]
+        if loc.processing is not None:
+            loc.processing.remaining_steps -= 1
+            if loc.processing.remaining_steps == 0:
+                loc.contents = Counter({loc.processing.output_item: 1})
+                loc.processing = None
+
+    still_live = []
+    for order in nxt.orders:
+        if order.issued_at <= t:
+            order.lifetime -= 1
+            if order.lifetime == 0:
+                nxt.expired_count += 1
+                events.append(KitchenEvent(EventKind.ORDER_EXPIRED, order.dish, t))
+                continue
+        still_live.append(order)
+    nxt.orders = still_live
+
+    upcoming = t + 1
+    schedule = nxt.config.order_schedule
+    if (
+        upcoming < nxt.config.max_steps
+        and upcoming % schedule.spawn_interval == 0
+        and nxt.next_spawn_index < len(nxt.dish_schedule)
+    ):
+        dish = nxt.dish_schedule[nxt.next_spawn_index]
+        nxt.orders.append(DishOrder(dish, schedule.lifetime, upcoming, nxt.next_spawn_index))
+        nxt.next_spawn_index += 1
+        events.append(KitchenEvent(EventKind.ORDER_INTRODUCED, dish, t))
+
+    nxt.step = upcoming
+    return nxt, tuple(events), results
+
+
 def scribble(state) -> None:
     """Change every mutable part of ``state`` in place."""
     for agent in state.agents.values():
@@ -632,6 +696,23 @@ def _any_action(data, state, agent_id):
     return kind(agent_id, location)
 
 
+def scarce(state) -> None:
+    """Leave one unit of each stocked item, so agents getting the same item contend for the last one."""
+    for loc in state.locations.values():
+        if loc.kind is kitchen.LocationKind.STORAGE:
+            loc.contents = Counter(dict.fromkeys(loc.contents, 1))
+
+
+def _contended_joint(choose, state, location):
+    """Every agent acts on ``location``: those elsewhere go there, those there get its last item, put or activate."""
+    item = max(state.locations[location].contents, default="junk")  # the last item, in sorted order
+    joint = {}
+    for agent_id in state.agent_ids():
+        kind = choose([Goto, Get, Put, Activate]) if state.agents[agent_id].at == location else Goto
+        joint[agent_id] = Get(agent_id, location, item) if kind is Get else kind(agent_id, location)
+    return joint
+
+
 class TestStepProperties:
     """``step`` on random levels, rosters and joint actions, legal and illegal."""
 
@@ -644,7 +725,7 @@ class TestStepProperties:
         data=st.data(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_step_leaves_its_input_alone(self, level, agents, seed, steps, data):
+    def test_step_changes_only_the_state_it_is_given(self, level, agents, seed, steps, data):
         state = load_level(level, agents, seed)
         for _ in range(min(steps, level.max_steps)):
             shared = state.copy()
@@ -653,18 +734,57 @@ class TestStepProperties:
 
             joint = {a: _any_action(data, state, a) for a in state.agent_ids()}
             before = copy.deepcopy(state)
+            twin = state.copy()
             outcome = step(state, joint)
-            assert state == before
-            nxt = outcome.next_state
-            assert nxt.config is state.config
-            assert item_census(nxt) == expected_census(state, outcome)
-            assert order_accounting_ok(nxt)
+            assert twin == before and shared == before
+            assert state.config is shared.config
+            assert item_census(state) == expected_census(before, outcome)
+            assert order_accounting_ok(state)
 
-            fresh = step(state, joint).next_state
-            assert fresh == nxt
-            seen = observation_hash(state)
-            scribble(nxt)
+            assert step(twin, joint) == outcome
+            assert twin == state
+            seen, after = observation_hash(state), copy.deepcopy(state)
+            scribble(twin)
             scribble(shared)
             assert observation_hash(state) == seen
-            assert state == before
-            state = fresh
+            assert state == after
+
+    @given(
+        level=st.integers(0, 400).map(random_level),
+        agents=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+        contended=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_step_matches_the_reference_step(self, level, agents, seed, contended, data):
+        state = load_level(level, agents, seed)
+        if contended:
+            scarce(state)
+            location = data.draw(st.sampled_from(sorted(state.locations)))
+        for _ in range(level.max_steps):
+            if contended:
+                joint = _contended_joint(lambda options: data.draw(st.sampled_from(options)), state, location)
+            else:
+                joint = {a: _any_action(data, state, a) for a in state.agent_ids()}
+            expected_state, expected_events, expected_results = reference_step(state, joint)
+            outcome = step(state, joint)
+            assert state == expected_state
+            assert outcome.events == expected_events
+            assert outcome.per_agent_result == expected_results
+            for result in outcome.per_agent_result.values():
+                assert result is (kitchen._SUCCEEDED if result.ok else kitchen._FAILED[result.reason])
+
+    def test_contended_joints_meet_contention(self):
+        # the contention-heavy strategy above does reach the race it is for
+        reasons = Counter()
+        for seed in range(20):
+            rng = random.Random(seed)
+            level = random_level(seed)
+            state = load_level(level, 6, seed)
+            scarce(state)
+            location = rng.choice(sorted(state.locations))
+            for _ in range(level.max_steps):
+                outcome = step(state, _contended_joint(rng.choice, state, location))
+                reasons.update(r.reason for r in outcome.per_agent_result.values() if not r.ok)
+        assert reasons[FailReason.CONTENTION] > 0

@@ -9,7 +9,7 @@ import pytest
 
 from allocsim.coordination import ControllerMode, PolicyQuery, run_episode
 from allocsim.gateway import MockEntry, ModelBinding, install_mock
-from allocsim.kitchen import Activate, Get, Goto, Noop, Put, load_level, step
+from allocsim.kitchen import Activate, Get, Goto, Noop, Put, load_level, observation_hash, step
 from allocsim.levels import get_level
 from allocsim.policies import (
     FlakyWorker,
@@ -75,7 +75,6 @@ class TestWorkUnits:
             assert action == want
             outcome = step(state, {"agent0": action})
             assert outcome.per_agent_result["agent0"].ok
-            state = outcome.next_state
         # while cooking there is nothing for the cook unit to do
         assert advance_unit(state, "agent0", unit) is None
 
@@ -83,15 +82,15 @@ class TestWorkUnits:
         state = load_level(level_1, 1, seed=0)
         cook, deliver = order_units(state, state.orders[0])
         while (action := advance_unit(state, "agent0", cook)) is not None:
-            state = step(state, {"agent0": action}).next_state
+            step(state, {"agent0": action})
         # cooking: deliver pre-positions nothing (already at the tool? no: at blender0)
         while state.locations["blender0"].processing is not None:
             action = advance_unit(state, "agent0", deliver) or Noop("agent0")
-            state = step(state, {"agent0": action}).next_state
+            step(state, {"agent0": action})
         assert advance_unit(state, "agent0", deliver) == Get("agent0", "blender0", "salmonMeatcake")
-        state = step(state, {"agent0": Get("agent0", "blender0", "salmonMeatcake")}).next_state
+        step(state, {"agent0": Get("agent0", "blender0", "salmonMeatcake")})
         assert advance_unit(state, "agent0", deliver) == Goto("agent0", "servingtable0")
-        state = step(state, {"agent0": Goto("agent0", "servingtable0")}).next_state
+        step(state, {"agent0": Goto("agent0", "servingtable0")})
         assert advance_unit(state, "agent0", deliver) == Put("agent0", "servingtable0")
 
     def test_janitor_clears_foreign_tool_contents(self, level_1):
@@ -110,10 +109,10 @@ class TestWorkUnits:
                     joint = {
                         a: scripted_individual_action(state, a) for a in state.agent_ids()
                     }
+                    at = state.step
                     outcome = step(state, joint)
                     for agent_id, result in outcome.per_agent_result.items():
-                        assert result.ok, (level_id, agents, state.step, joint[agent_id])
-                    state = outcome.next_state
+                        assert result.ok, (level_id, agents, at, joint[agent_id])
 
     def test_oracle_never_crashes_on_random_levels(self):
         # random levels may stall the oracle but must never make it illegal-act
@@ -122,7 +121,7 @@ class TestWorkUnits:
             state = load_level(level, 1 + seed % 3, seed)
             for _ in range(level.max_steps):
                 joint = {a: scripted_individual_action(state, a) for a in state.agent_ids()}
-                state = step(state, joint).next_state
+                step(state, joint)
 
 
 class TestPlannerPartition:
@@ -156,7 +155,11 @@ class TestPlannerPartition:
 
 
 class _Recorder:
-    """Delegates to ``inner`` and keeps every state it is shown."""
+    """Delegates to ``inner`` and keeps a copy of every state it is shown, by step number.
+
+    The episode state is live and changes after each step, so a copy is
+    what stays as it was shown.
+    """
 
     def __init__(self, inner, seen):
         self.inner = inner
@@ -164,13 +167,14 @@ class _Recorder:
         self.model_id = inner.model_id
 
     def respond(self, query, state):
-        self.seen.append(state)
+        shown = self.seen.setdefault(state.step, state.copy())
+        assert shown == state, state.step  # every policy of a step is shown one state
         return self.inner.respond(query, state)
 
 
 def episode_states(mode, level, agents, seed):
     """Every state a scripted episode under ``mode`` shows its policies, once each."""
-    seen = []
+    seen = {}
     state = load_level(level, agents, seed)
     run_episode(
         mode,
@@ -179,7 +183,7 @@ def episode_states(mode, level, agents, seed):
         central=_Recorder(ScriptedOrchestrator(), seen),
         planner=ScriptedPlanner(),
     )
-    return list({id(s): s for s in seen}.values())
+    return list(seen.values())
 
 
 def _mock():
@@ -213,6 +217,7 @@ class TestReadOnlyContract:
     def test_policies_leave_the_state_unchanged(self, mode):
         states = episode_states(mode, get_level("level_3"), 3, seed=5)
         assert len(states) == 60
+        assert len({observation_hash(s) for s in states}) == 60  # each step shows a state of its own
         for state in states:
             before = copy.deepcopy(state)
             for policy, query in self.policy_calls(state):
