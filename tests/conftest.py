@@ -8,6 +8,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import strategies as st
 
 from allocsim.assignment import Candidate, CostMatrix
 from allocsim.coordination import ControllerMode, run_episode
@@ -133,6 +134,29 @@ def legal_actions(state: KitchenState, agent_id: str) -> list[KitchenAction]:
         actions.append(Activate(agent_id, here.id))
     actions.append(Noop(agent_id))
     return actions
+
+
+def draw_from(data):
+    """A ``choose(options)`` that draws one of ``options`` from hypothesis ``data``."""
+    return lambda options: data.draw(st.sampled_from(options))
+
+
+def any_action(choose, state: KitchenState, agent_id: str) -> KitchenAction:
+    """A legal action, or any well-formed one (often illegal) on a known location.
+
+    ``choose(options)`` picks one of a sequence: ``random.Random.choice``,
+    or :func:`draw_from` inside a hypothesis test.
+    """
+    if choose([True, False]):
+        return choose(legal_actions(state, agent_id))
+    location = choose(sorted(state.locations))
+    items = sorted({item for loc in state.locations.values() for item in loc.contents} | {"junk"})
+    kind = choose([Goto, Get, Put, Activate, Noop])
+    if kind is Noop:
+        return Noop(agent_id)
+    if kind is Get:
+        return Get(agent_id, location, choose(items))
+    return kind(agent_id, location)
 
 
 def item_census(state: KitchenState) -> Counter:

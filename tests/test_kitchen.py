@@ -37,6 +37,8 @@ from allocsim.kitchen import (
 from allocsim.levels import BUILTIN_LEVELS, get_level
 
 from conftest import (
+    any_action,
+    draw_from,
     item_census,
     legal_actions,
     order_accounting_ok,
@@ -682,20 +684,6 @@ def scribble(state) -> None:
     state.next_spawn_index += 1
 
 
-def _any_action(data, state, agent_id):
-    """A legal action, or any well-formed one (often illegal) on a known location."""
-    if data.draw(st.booleans()):
-        return data.draw(st.sampled_from(legal_actions(state, agent_id)))
-    location = data.draw(st.sampled_from(sorted(state.locations)))
-    items = sorted({item for loc in state.locations.values() for item in loc.contents} | {"junk"})
-    kind = data.draw(st.sampled_from([Goto, Get, Put, Activate, Noop]))
-    if kind is Noop:
-        return Noop(agent_id)
-    if kind is Get:
-        return Get(agent_id, location, data.draw(st.sampled_from(items)))
-    return kind(agent_id, location)
-
-
 def scarce(state) -> None:
     """Leave one unit of each stocked item, so agents getting the same item contend for the last one."""
     for loc in state.locations.values():
@@ -703,11 +691,16 @@ def scarce(state) -> None:
             loc.contents = Counter(dict.fromkeys(loc.contents, 1))
 
 
-def _contended_joint(choose, state, location):
-    """Every agent acts on ``location``: those elsewhere go there, those there get its last item, put or activate."""
-    item = max(state.locations[location].contents, default="junk")  # the last item, in sorted order
+def _contended_joint(choose, state, locations):
+    """Every agent acts on one of ``locations``: those elsewhere go there, those there get its last item, put or activate.
+
+    With two locations, one joint can hold a location that several agents
+    act on and one that a single agent acts on.
+    """
     joint = {}
     for agent_id in state.agent_ids():
+        location = choose(locations)
+        item = max(state.locations[location].contents, default="junk")  # the last item, in sorted order
         kind = choose([Goto, Get, Put, Activate]) if state.agents[agent_id].at == location else Goto
         joint[agent_id] = Get(agent_id, location, item) if kind is Get else kind(agent_id, location)
     return joint
@@ -732,7 +725,7 @@ class TestStepProperties:
             assert shared == copy.deepcopy(state)
             assert shared.config is state.config and shared.dish_schedule is state.dish_schedule
 
-            joint = {a: _any_action(data, state, a) for a in state.agent_ids()}
+            joint = {a: any_action(draw_from(data), state, a) for a in state.agent_ids()}
             before = copy.deepcopy(state)
             twin = state.copy()
             outcome = step(state, joint)
@@ -753,20 +746,22 @@ class TestStepProperties:
         level=st.integers(0, 400).map(random_level),
         agents=st.integers(1, 6),
         seed=st.integers(0, 2**16),
-        contended=st.booleans(),
+        contended=st.sampled_from([0, 1, 2]),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
     def test_step_matches_the_reference_step(self, level, agents, seed, contended, data):
+        # contended: how many locations every agent's action is aimed at (0: any action)
         state = load_level(level, agents, seed)
         if contended:
             scarce(state)
-            location = data.draw(st.sampled_from(sorted(state.locations)))
+            locations = data.draw(st.lists(st.sampled_from(sorted(state.locations)),
+                                           min_size=contended, max_size=contended, unique=True))
         for _ in range(level.max_steps):
             if contended:
-                joint = _contended_joint(lambda options: data.draw(st.sampled_from(options)), state, location)
+                joint = _contended_joint(draw_from(data), state, locations)
             else:
-                joint = {a: _any_action(data, state, a) for a in state.agent_ids()}
+                joint = {a: any_action(draw_from(data), state, a) for a in state.agent_ids()}
             expected_state, expected_events, expected_results = reference_step(state, joint)
             outcome = step(state, joint)
             assert state == expected_state
@@ -785,7 +780,7 @@ class TestStepProperties:
             scarce(state)
             location = rng.choice(sorted(state.locations))
             for _ in range(level.max_steps):
-                joint = _contended_joint(rng.choice, state, location)
+                joint = _contended_joint(rng.choice, state, [location])
                 outcome = step(state, joint)
                 lost.update(type(joint[a]) for a, r in outcome.per_agent_result.items()
                             if r.reason is FailReason.CONTENTION)

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import copy
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from allocsim.coordination import ControllerMode, PolicyQuery, run_episode
+from allocsim.coordination import ControllerMode, PolicyQuery, WorkUnit, run_episode
 from allocsim.gateway import MockEntry, ModelBinding, install_mock
 from allocsim.kitchen import Activate, Get, Goto, Noop, Put, load_level, observation_hash, step
-from allocsim.levels import get_level
+from allocsim.levels import BUILTIN_LEVELS, get_level
 from allocsim.policies import (
     FlakyWorker,
     GatewayOrchestrator,
@@ -27,7 +30,8 @@ from allocsim.policies import (
 )
 from allocsim.seeding import derive_seed
 
-from conftest import random_level
+import scripted_reference as reference
+from conftest import any_action, random_level
 
 
 class TestSeeding:
@@ -226,3 +230,111 @@ class TestReadOnlyContract:
             for planner in (ScriptedPlanner(), GatewayPlanner(self.BINDING, _mock())):
                 planner.plan("prompt", state, state.agent_ids(), None, ())
                 assert state == before, (type(planner).__name__, state.step)
+
+
+# --- the oracle against the reference it replaced ------------------------------
+
+
+def stray_units(rng, state):
+    """Work units a plan can hold that do not fit the kitchen as it is now.
+
+    Half are stale: any ordinal the level has issued (or the next one),
+    any dish, any step index up to one past the recipe, and any location or
+    none. The other half are units of a live order on any location.
+    """
+    dishes = sorted({recipe.dish for recipe in state.config.recipes})
+    tools = sorted(state.locations) + ["nowhere"]
+    units = []
+    for _ in range(rng.randint(0, 3)):
+        if state.orders and rng.random() < 0.5:
+            order = rng.choice(state.orders)
+            ordinal, dish = order.ordinal, order.dish
+            steps = range(len(state.config.recipe_for(dish).steps))
+        else:
+            ordinal, dish = rng.randrange(state.next_spawn_index + 1), rng.choice(dishes)
+            steps = range(len(state.config.recipe_for(dish).steps) + 1)
+        units.append(WorkUnit(ordinal, dish, rng.choice([None, *steps]), rng.choice(tools)))
+    return units
+
+
+def planned_directives(rng, state):
+    """Each agent's directives: ``ScriptedPlanner.plan``'s, with stray units mixed in."""
+    plan, _ = ScriptedPlanner().plan("p", state, state.agent_ids(), None, ())
+    directives = {}
+    for agent_id, planned in plan.directives.items():
+        mixed = list(planned)
+        for unit in stray_units(rng, state):
+            mixed.insert(rng.randint(0, len(mixed)), unit)
+        directives[agent_id] = tuple(mixed)
+    return directives
+
+
+def oracle_walk(level, agents, seed, noise):
+    """Yield each state of a walk, with every agent's directives, before the walk steps it.
+
+    Each agent-step takes an ``any_action`` with probability ``noise`` and
+    the reference oracle's action otherwise, self-assigned or under the
+    directives, one or the other for the whole step: ``noise=1`` is a
+    random walk and ``noise=0`` a scripted one.
+    """
+    rng = random.Random(seed)
+    state = load_level(level, agents, seed)
+    for _ in range(level.max_steps):
+        directives = planned_directives(rng, state)
+        yield state, directives
+        directed = rng.random() < 0.5
+        joint = {}
+        for agent_id in state.agent_ids():
+            if rng.random() < noise:
+                joint[agent_id] = any_action(rng.choice, state, agent_id)
+            elif directed:
+                joint[agent_id] = reference.directed_action(state, agent_id, directives[agent_id])
+            else:
+                joint[agent_id] = reference.individual_action(state, agent_id)
+        step(state, joint)
+
+
+def assert_oracle_matches_reference(state, directives):
+    worker = ScriptedWorker()
+    for agent_id in state.agent_ids():
+        alone = worker.respond(PolicyQuery("obs", agent_id), state).text
+        assert alone == reference.individual_action(state, agent_id).to_text(), (state.step, agent_id)
+        directed = worker.respond(PolicyQuery("obs", agent_id, directives[agent_id]), state).text
+        expected = reference.directed_action(state, agent_id, directives[agent_id]).to_text()
+        assert directed == expected, (state.step, agent_id, directives[agent_id])
+        assert scripted_individual_action(state, agent_id).to_text() == alone
+
+
+LEVELS = st.one_of(st.sampled_from(sorted(BUILTIN_LEVELS)).map(get_level), st.integers(0, 400).map(random_level))
+
+
+class TestOracleMatchesReference:
+    """The scripted oracle decides as the reference copy in ``scripted_reference.py`` does."""
+
+    @given(level=LEVELS, agents=st.integers(1, 6), seed=st.integers(0, 2**16),
+           noise=st.sampled_from([0.0, 0.2, 1.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_every_agent_decides_as_the_reference(self, level, agents, seed, noise):
+        for state, directives in oracle_walk(level, agents, seed, noise):
+            assert_oracle_matches_reference(state, directives)
+
+    def test_walks_reach_the_hard_states(self):
+        # the walks above meet junk in tools, full hands, busy tools and
+        # several live orders of one dish
+        seen = Counter()
+        for seed in range(12):
+            level = get_level("level_3") if seed % 3 == 0 else random_level(seed)
+            for noise in (0.0, 0.2, 1.0):
+                for state, _ in oracle_walk(level, 1 + seed % 6, seed, noise):
+                    # items no recipe step of a tool's kind takes or makes
+                    own = {kind: {item for _, s in steps for item in (*s.inputs, s.output)}
+                           for kind, steps in state.config.recipe_steps_by_tool.items()}
+                    for loc in state.locations.values():
+                        if loc.tool_kind is not None:
+                            seen["junk in a tool"] += any(i not in own.get(loc.tool_kind, ()) for i in loc.contents)
+                            seen["busy tool"] += loc.busy
+                    seen["full hands"] += any(a.holding is not None for a in state.agents.values())
+                    dishes = Counter(order.dish for order in state.orders)
+                    seen["one dish twice"] += any(n > 1 for n in dishes.values())
+        assert set(seen) == {"junk in a tool", "busy tool", "full hands", "one dish twice"}
+        assert all(seen.values()), seen
