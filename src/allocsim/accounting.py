@@ -186,10 +186,17 @@ class CapabilityProfile:
     def __init__(self) -> None:
         self.cells: dict[tuple[str, str], CapabilityCell] = {}
 
-    def update(self, agent: str, model_id: str, succeeded: bool) -> None:
+    def update(self, agent: str, model_id: str, attempted: int, succeeded: int) -> None:
+        """Add ``attempted`` actions of ``agent`` under ``model_id``, ``succeeded`` of them successful.
+
+        ``run_episode`` folds each cell of an episode in one call when the
+        episode ends.
+        """
+        if not 0 <= succeeded <= attempted:
+            raise ValueError(f"need 0 <= succeeded <= attempted, got {succeeded} of {attempted}")
         cell = self.cells.setdefault((agent, model_id), CapabilityCell())
-        cell.attempted += 1
-        cell.succeeded += int(succeeded)
+        cell.attempted += attempted
+        cell.succeeded += succeeded
 
     def cell(self, agent: str, model_id: str) -> CapabilityCell:
         return self.cells.get((agent, model_id), CapabilityCell())

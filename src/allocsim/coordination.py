@@ -29,8 +29,11 @@ parses each distinct response text once and reuses the frozen result.
 Each step, every agent gets one decision: its parsed action, or the
 reason (a gateway failure, unparseable text, an action naming another
 agent) that makes it noop. Both topology branches fill the same decision
-record, and the step's actions, fallback notes, action histogram and
-capability counters are all read off it. An agent's capability cell is
+record, and the step's actions and fallback notes are read off it. Each
+agent-step adds one ``(agent, action kind, ok)`` entry to a tally, where
+a fallback counts as a failed noop; when the episode ends the tally is
+folded into the action histogram and into the capability profile, one
+:meth:`CapabilityProfile.update` per cell. An agent's capability cell is
 keyed by the model that decides for it: the central policy's in
 orchestrator mode, its own worker's otherwise. The report's
 :class:`EfficiencyReport` is computed once, when the episode ends.
@@ -472,8 +475,9 @@ def run_episode(
 
     state = state.copy()  # the one copy of the episode; every step changes it in place
     ledger = CostLedger()
-    profile = CapabilityProfile()
-    histogram: Counter = Counter()
+    # agent-steps by (agent, action kind, ok), folded into the histogram
+    # and the capability profile when the episode ends
+    tally: Counter = Counter()
     policy_calls: Counter = Counter()
     fallbacks: list[FallbackNote] = []
     planner_prompts: list[str] = []
@@ -542,7 +546,6 @@ def run_episode(
                 directives = None if plan is None else plan.directives[agent_id]
                 query = PolicyQuery(observation=observation, agent_id=agent_id, directives=directives)
                 response = _call_policy(workers[agent_id], query, state)
-                policy_calls["worker"] += 1
                 if isinstance(response, str):
                     decided[agent_id] = response
                     continue
@@ -554,16 +557,17 @@ def run_episode(
                     decided[agent_id] = "action names another agent"
                 else:
                     decided[agent_id] = action
+            policy_calls["worker"] += len(roster)
 
         actions = {a: Noop(a) if isinstance(d, str) else d for a, d in decided.items()}
         step_index = state.step
         outcome = kitchen_step(state, actions)
         for agent_id, decision in decided.items():
-            histogram[action_kind(actions[agent_id])] += 1
-            if isinstance(decision, str):
+            fell_back = isinstance(decision, str)
+            if fell_back:
                 fallbacks.append(FallbackNote(step_index, agent_id, decision))
-            ok = not isinstance(decision, str) and outcome.per_agent_result[agent_id].ok
-            profile.update(agent_id, models[agent_id], ok)
+            ok = not fell_back and outcome.per_agent_result[agent_id].ok
+            tally[agent_id, action_kind(actions[agent_id]), ok] += 1
         observation = render_observation(state)
         events.extend(outcome.events)
         trace.append(
@@ -578,6 +582,16 @@ def run_episode(
         if mode is ControllerMode.PLANNER and outcome.events:
             replan(outcome.events)
 
+    histogram: Counter = Counter()
+    attempted: Counter = Counter()
+    succeeded: Counter = Counter()
+    for (agent_id, kind, ok), count in tally.items():
+        histogram[kind] += count
+        attempted[agent_id] += count
+        succeeded[agent_id] += count if ok else 0
+    profile = CapabilityProfile()
+    for agent_id, count in attempted.items():
+        profile.update(agent_id, models[agent_id], count, succeeded[agent_id])
     action_counts = dict(histogram)
     return EpisodeReport(
         mode=mode,

@@ -9,9 +9,12 @@ of the full state.
 
 Step pipeline, applied to the state in place, in order:
 
-1. actions resolve sequentially by ascending agent id -- an action that
-   fails only because an earlier agent's action beat it to a resource is
-   reported as contention;
+1. actions resolve sequentially by ascending agent id, each checked once
+   against the live state -- an action that fails only because an earlier
+   agent's action beat it to a resource is reported as contention; the
+   pre-step check that tells it apart is taken only for a get, put or
+   activate on a location an earlier agent also gets from, puts on or
+   activates;
 2. every busy tool's cook counter decrements (including tools activated
    this step); at zero the tool's contents are replaced by the step
    output;
@@ -648,11 +651,17 @@ def step(state: KitchenState, joint: Mapping[str, KitchenAction]) -> StepOutcome
     """Advance ``state`` one step under a joint action, in place.
 
     In-world impossibilities become per-agent failures; only unknown
-    agent/location ids raise, before anything changes. Every action is
-    checked against the pre-step state before any is applied, so an action
-    that was fine then and fails once earlier agents have acted is told
-    apart as contention. A caller that needs the prior state copies it
-    first with :meth:`KitchenState.copy`.
+    agent/location ids raise, before anything changes. Each action is
+    checked once, against the live state as earlier agents left it. An
+    action that fails there but was fine against the pre-step state lost a
+    race to an earlier agent, and is told apart as contention. The
+    pre-step check is taken, before any action applies, only for a get,
+    put or activate on a location that an earlier agent also gets from,
+    puts on or activates: only those actions change a location, and an
+    agent's own position and hands change only by its own action, so any
+    other action fails live for the reason it would have failed before
+    the step. A caller that needs the prior state copies it first with
+    :meth:`KitchenState.copy`.
     """
     if state.step >= state.config.max_steps:
         raise EpisodeOver(f"episode already ran its {state.config.max_steps} steps")
@@ -660,20 +669,25 @@ def step(state: KitchenState, joint: Mapping[str, KitchenAction]) -> StepOutcome
 
     t = state.step
     agent_ids = sorted(joint)
-    fine_before = [_check_action(state, joint[agent_id]) is None for agent_id in agent_ids]
+    fine_before: set[str] = set()  # agents whose shared-location action was fine before the step
+    acted_on: set[str] = set()
+    for agent_id in agent_ids:
+        action = joint[agent_id]
+        if isinstance(action, (Get, Put, Activate)):
+            if action.location in acted_on and _check_action(state, action) is None:
+                fine_before.add(agent_id)
+            acted_on.add(action.location)
     events: list[KitchenEvent] = []
     results: dict[str, ActionResult] = {}
 
-    for agent_id, fine in zip(agent_ids, fine_before):
+    for agent_id in agent_ids:
         action = joint[agent_id]
         reason = _check_action(state, action)
         if reason is None:
             events.extend(_apply_action(state, action))
             results[agent_id] = _SUCCEEDED
         else:
-            # an action that was fine against the pre-step state lost a
-            # race to an earlier agent this step
-            results[agent_id] = _FAILED[FailReason.CONTENTION if fine else reason]
+            results[agent_id] = _FAILED[FailReason.CONTENTION if agent_id in fine_before else reason]
 
     # each countdown touches only its own location, so the order is free
     for loc in state.locations.values():

@@ -18,7 +18,6 @@ so scripted episodes replay bit-for-bit.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from typing import Sequence
 
 from .coordination import (
@@ -42,6 +41,7 @@ from .kitchen import (
     KitchenState,
     Noop,
     Put,
+    Recipe,
     order_urgency,
 )
 from .prompts import (
@@ -85,18 +85,18 @@ def _recovery_claimant(state: KitchenState, dish: str) -> int | None:
     return min(ordinals) if ordinals else None
 
 
-def _downstream_done(state: KitchenState, agent_id: str, unit: WorkUnit) -> bool:
+def _downstream_done(
+    state: KitchenState, agent_id: str, unit: WorkUnit, recipe: Recipe, tools: Sequence[str]
+) -> bool:
     """Has this cook step's output (or a later step's) been produced already?
 
-    Evidence is scoped to the order's own tool pipeline plus carried
-    items, so a concurrent order of the same dish does not get credited
-    with this order's work. Items in other agents' hands count for
-    intermediates (a plan may hand ferrying to someone else) but not for
-    the finished dish, which is the delivery leg's business.
+    ``tools`` is the order's tool pipeline. Evidence is scoped to it plus
+    carried items, so a concurrent order of the same dish does not get
+    credited with this order's work. Items in other agents' hands count
+    for intermediates (a plan may hand ferrying to someone else) but not
+    for the finished dish, which is the delivery leg's business.
     """
     assert unit.step_index is not None
-    recipe = state.config.recipe_for(unit.dish)
-    tools = _pipeline_tools(state, unit.dish, unit.order_ordinal)
     me = state.agents[agent_id]
     for s in range(unit.step_index, len(recipe.steps)):
         output = recipe.steps[s].output
@@ -117,18 +117,20 @@ def _downstream_done(state: KitchenState, agent_id: str, unit: WorkUnit) -> bool
     return False
 
 
-def _cook_input_sources(state: KitchenState, unit: WorkUnit, item: str) -> list[str]:
+def _cook_input_sources(
+    state: KitchenState, unit: WorkUnit, item: str, recipe: Recipe, tools: Sequence[str]
+) -> list[str]:
     """Where a cook step may fetch an input from, in priority order.
 
-    The prior step's own tool first; then storages (plus the serving
-    table for strays) -- but recipe-produced items may only be scavenged
-    from shared locations by the dish's recovery claimant.
+    The prior step's own tool (from the order's pipeline ``tools``) first;
+    then storages (plus the serving table for strays) -- but
+    recipe-produced items may only be scavenged from shared locations by
+    the dish's recovery claimant.
     """
     assert unit.step_index is not None
-    recipe = state.config.recipe_for(unit.dish)
     sources: list[str] = []
     if unit.step_index > 0 and recipe.steps[unit.step_index - 1].output == item:
-        sources.append(_pipeline_tools(state, unit.dish, unit.order_ordinal)[unit.step_index - 1])
+        sources.append(tools[unit.step_index - 1])
     if item in state.config.produced_items:
         if _recovery_claimant(state, unit.dish) == unit.order_ordinal:
             sources.extend(state.config.storage_ids)
@@ -158,32 +160,36 @@ def _goto_or(state: KitchenState, agent_id: str, loc_id: str, action: KitchenAct
 def _advance_cook_unit(
     state: KitchenState, agent_id: str, unit: WorkUnit
 ) -> KitchenAction | None:
-    """Next action toward cooking one recipe step, or None if nothing to do."""
+    """Next action toward cooking one recipe step, or None if nothing to do.
+
+    The tool's contents are read against the step's inputs item by item.
+    Both hold only counts >= 1 (a recipe input is validated so, and a tool
+    drops an item whose count reaches 0), so equal items and counts are an
+    exact match.
+    """
     assert unit.step_index is not None
     recipe = state.config.recipe_for(unit.dish)
-    step = recipe.steps[unit.step_index]
-    if _downstream_done(state, agent_id, unit):
+    tools = _pipeline_tools(state, unit.dish, unit.order_ordinal)
+    if _downstream_done(state, agent_id, unit, recipe, tools):
         return None
     tool = state.locations[unit.tool_id]
     if tool.busy:
         return None  # cooking (ours or someone else's); wait
-    agent = state.agents[agent_id]
-    need = Counter(dict(step.inputs))
+    need = recipe.steps[unit.step_index].inputs
     have = tool.contents
-    if have == need:
+    if len(have) == len(need) and all(have[item] == count for item, count in need.items()):
         return _goto_or(state, agent_id, unit.tool_id, Activate(agent_id, unit.tool_id))
-    extraneous = have - need
-    if extraneous and agent.holding is None:
-        # clear foreign or surplus items so the tool can ever match
-        junk = sorted(extraneous)[0]
-        return _goto_or(state, agent_id, unit.tool_id, Get(agent_id, unit.tool_id, junk))
-    missing = need - have
-    if agent.holding is not None:
-        if missing.get(agent.holding, 0) > 0:
+    holding = state.agents[agent_id].holding
+    if holding is not None:
+        if need.get(holding, 0) > have[holding]:
             return _goto_or(state, agent_id, unit.tool_id, Put(agent_id, unit.tool_id))
         return _stash_action(state, agent_id)
-    for item in sorted(missing):
-        for source_id in _cook_input_sources(state, unit, item):
+    surplus = [item for item, count in have.items() if count > need.get(item, 0)]
+    if surplus:
+        # clear foreign or surplus items so the tool can ever match
+        return _goto_or(state, agent_id, unit.tool_id, Get(agent_id, unit.tool_id, min(surplus)))
+    for item in sorted(item for item, count in need.items() if count > have[item]):
+        for source_id in _cook_input_sources(state, unit, item, recipe, tools):
             if source_id == unit.tool_id:
                 continue
             source = state.locations[source_id]
@@ -245,11 +251,8 @@ def scripted_individual_action(state: KitchenState, agent_id: str) -> KitchenAct
     """Self-assigned action: this agent owns orders by ordinal round-robin."""
     roster = state.agent_ids()
     index = roster.index(agent_id)
-    owned = [
-        order
-        for order in sorted(state.orders, key=order_urgency)
-        if order.ordinal % len(roster) == index
-    ]
+    owned = [order for order in state.orders if order.ordinal % len(roster) == index]
+    owned.sort(key=order_urgency)
     units = [unit for order in owned for unit in order_units(state, order)]
     return _act_on_units(state, agent_id, units)
 

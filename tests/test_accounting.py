@@ -82,8 +82,7 @@ class TestLedger:
 class TestCapability:
     def test_ratio(self):
         profile = CapabilityProfile()
-        for i in range(10):
-            profile.update("agent0", "m", succeeded=i < 7)
+        profile.update("agent0", "m", attempted=10, succeeded=7)
         cell = profile.cell("agent0", "m")
         assert cell.attempted == 10
         assert cell.success_rate == pytest.approx(0.7)
@@ -91,11 +90,19 @@ class TestCapability:
     def test_counters_monotone(self):
         profile = CapabilityProfile()
         seen = []
-        for flag in (True, False, True, True):
-            profile.update("a", "m", flag)
+        for attempted, succeeded in ((1, 1), (1, 0), (3, 2), (0, 0)):
+            profile.update("a", "m", attempted, succeeded)
             cell = profile.cell("a", "m")
             seen.append((cell.attempted, cell.succeeded))
         assert seen == sorted(seen)
+        assert seen[-1] == (5, 3)
+
+    @pytest.mark.parametrize("attempted, succeeded", [(1, 2), (-1, 0), (2, -1)])
+    def test_counts_out_of_range_are_refused(self, attempted, succeeded):
+        profile = CapabilityProfile()
+        with pytest.raises(ValueError):
+            profile.update("a", "m", attempted, succeeded)
+        assert profile.cells == {}
 
     def test_unknown_cell_has_no_rate(self):
         profile = CapabilityProfile()
@@ -105,15 +112,14 @@ class TestCapability:
 class TestCapabilityHint:
     def test_two_decimal_rate_line(self):
         profile = CapabilityProfile()
-        for i in range(10):
-            profile.update("agent0", "gpt-4o-mini", succeeded=i < 7)
+        profile.update("agent0", "gpt-4o-mini", attempted=10, succeeded=7)
         text = capability_hint(profile, [("agent0", "gpt-4o-mini")])
         assert "success rate 0.70" in text
 
     def test_roster_order_two_workers(self):
         profile = CapabilityProfile()
-        profile.update("agent0", "a-model", True)
-        profile.update("agent1", "b-model", False)
+        profile.update("agent0", "a-model", 1, 1)
+        profile.update("agent1", "b-model", 1, 0)
         text = capability_hint(profile, [("agent0", "a-model"), ("agent1", "b-model")])
         lines = text.splitlines()
         assert lines[1].startswith("- agent0 (a-model)")

@@ -249,6 +249,31 @@ class TestRunEpisode:
         )
         assert central.policy_calls == {"orchestrator": 20}
 
+    @pytest.mark.parametrize("mode", [ControllerMode.INDIVIDUAL, ControllerMode.PLANNER])
+    def test_histogram_and_capability_are_the_steps_summed(self, mode):
+        # fallbacks, in-world failures and successes, folded at episode end,
+        # equal the per-step sums read back from the trace, order included
+        state = load_level(get_level("level_3"), 3, seed=2)
+        texts = ["get(agent1, storage0, salmon)", "goto(agent1, storage0)", "activate(agent1, pot0)",
+                 "put(agent1, pot0)", "no action here"] * 12
+        workers = {"agent0": FlakyWorker(ScriptedWorker(), 0.3, seed=2),
+                   "agent1": RecordedWorker(texts), "agent2": ScriptedWorker()}
+        report = run_episode(mode, state, workers=workers, planner=ScriptedPlanner())
+        fell_back = {(f.step, f.agent) for f in report.fallbacks}
+        kinds, attempted, succeeded = {}, {}, {}
+        for record in report.trace:
+            for agent_id, text in record["actions"].items():
+                kind = text.split("(")[0]
+                kinds[kind] = kinds.get(kind, 0) + 1
+                ok = record["results"][agent_id]["ok"] and (record["step"], agent_id) not in fell_back
+                attempted[agent_id] = attempted.get(agent_id, 0) + 1
+                succeeded[agent_id] = succeeded.get(agent_id, 0) + ok
+        assert list(report.action_counts.items()) == list(kinds.items())
+        cells = {agent: (cell.attempted, cell.succeeded) for (agent, _), cell in report.capability.cells.items()}
+        assert cells == {a: (attempted[a], succeeded[a]) for a in state.agent_ids()}
+        assert list(cells) == state.agent_ids()
+        assert 0 < succeeded["agent1"] < attempted["agent1"] and fell_back
+
     def test_planner_trigger_contract(self, level_1):
         report = scripted_planner_episode(level_1, 2, seed=5)
         nonempty = sum(1 for record in report.trace if record["events"])

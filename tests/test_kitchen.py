@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -769,6 +770,37 @@ class TestStepProperties:
             assert outcome.per_agent_result == expected_results
             for result in outcome.per_agent_result.values():
                 assert result is (kitchen._SUCCEEDED if result.ok else kitchen._FAILED[result.reason])
+
+    @given(
+        level=st.integers(0, 400).map(random_level),
+        agents=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+        contended=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_check_per_action_unless_a_location_is_shared(self, level, agents, seed, contended, data):
+        # an action is checked twice only when an earlier agent gets from,
+        # puts on or activates its location; otherwise exactly once
+        state = load_level(level, agents, seed)
+        if contended:
+            scarce(state)
+            locations = data.draw(st.lists(st.sampled_from(sorted(state.locations)),
+                                           min_size=2, max_size=2, unique=True))
+        for _ in range(level.max_steps):
+            if contended:
+                joint = _contended_joint(draw_from(data), state, locations)
+            else:
+                joint = {a: any_action(draw_from(data), state, a) for a in state.agent_ids()}
+            shared, acted_on = 0, set()
+            for agent_id in sorted(joint):
+                action = joint[agent_id]
+                if isinstance(action, (Get, Put, Activate)):
+                    shared += action.location in acted_on
+                    acted_on.add(action.location)
+            with mock.patch.object(kitchen, "_check_action", wraps=kitchen._check_action) as check:
+                step(state, joint)
+            assert check.call_count == len(joint) + shared
 
     def test_contended_joints_meet_contention(self):
         # the contention-heavy strategy above does reach the race for a last item
