@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import random
+import types
 from collections import Counter
 from unittest import mock
 
@@ -520,6 +521,44 @@ def _contents_to_try(config):
     return tried
 
 
+@st.composite
+def recipe_levels(draw):
+    """A random level whose step inputs are redrawn with counts 1-3, some behind a ``MappingProxyType``."""
+    level = random_level(draw(st.integers(0, 10**6)))
+
+    def redrawn(step_):
+        inputs = {item: draw(st.integers(1, 3)) for item in step_.inputs}
+        proxied = draw(st.booleans())
+        return dataclasses.replace(step_, inputs=types.MappingProxyType(inputs) if proxied else inputs)
+
+    recipes = tuple(dataclasses.replace(r, steps=tuple(map(redrawn, r.steps))) for r in level.recipes)
+    return dataclasses.replace(level, recipes=recipes)
+
+
+@st.composite
+def tool_contents(draw, level):
+    """Contents near one recipe step's inputs: empty, exact, a subset, a superset,
+    with a foreign item, or with one count off by one."""
+    steps = [s for r in level.recipes for s in r.steps]
+    inputs = Counter(dict(draw(st.sampled_from(steps)).inputs))
+    known = sorted({item for loc in level.locations for item in loc.stock} | level.produced_items)
+    shape = draw(st.sampled_from(["empty", "exact", "subset", "superset", "foreign", "off by one"]))
+    if shape == "empty":
+        return Counter()
+    if shape == "subset":
+        kept = draw(st.lists(st.sampled_from(sorted(inputs)), unique=True, max_size=len(inputs) - 1))
+        return Counter({item: inputs[item] for item in kept})
+    if shape == "superset":
+        return inputs + Counter(draw(st.lists(st.sampled_from(known), min_size=1, max_size=3)))
+    if shape == "foreign":
+        return inputs + Counter(junk=draw(st.integers(1, 2)))
+    if shape == "off by one":
+        item = draw(st.sampled_from(sorted(inputs)))
+        inputs[item] += draw(st.sampled_from([-1, 1]))
+        return +inputs  # a count that fell to zero leaves the tool
+    return inputs
+
+
 class TestLevelLookups:
     def assert_lookups_match_scans(self, config):
         state = load_level(config, 2, seed=0)
@@ -548,6 +587,14 @@ class TestLevelLookups:
     @settings(max_examples=60, deadline=None)
     def test_random_levels(self, seed):
         self.assert_lookups_match_scans(random_level(seed))
+
+    @given(level=recipe_levels(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_match_recipe_step_equals_the_counter_scan(self, level, data):
+        # contents are drawn as a tool can hold them: no item with a zero count
+        for kind in sorted(level.tools_by_kind) + ["no such kind"]:
+            contents = data.draw(tool_contents(level))
+            assert kitchen._match_recipe_step(level, kind, contents) is scan_match_recipe_step(level, kind, contents)
 
     def test_first_recipe_and_first_step_win(self):
         config = duplicate_recipe_level()
@@ -734,6 +781,8 @@ class TestStepProperties:
             assert state.config is shared.config
             assert item_census(state) == expected_census(before, outcome)
             assert order_accounting_ok(state)
+            # recipe matching compares a tool's contents with plain inputs, so no tool holds a zero count
+            assert all(n >= 1 for loc in state.locations.values() if loc.tool_kind for n in loc.contents.values())
 
             assert step(twin, joint) == outcome
             assert twin == state
