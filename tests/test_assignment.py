@@ -561,6 +561,12 @@ class TestParsingAndSerialization:
         assert candidate.mapping == (2, 0, 1)
         assert candidate.claimed_cost == 14.0
 
+    @pytest.mark.parametrize("agent_word", ["agent ", ""])
+    @pytest.mark.parametrize("separator", ["->", ":", "→", "="])
+    def test_parse_each_pair_separator(self, separator, agent_word):
+        text = f"task 0 {separator} {agent_word}2, Task 1{separator}{agent_word}0, task 2 {separator}{agent_word}1"
+        assert parse_candidate_text(text, 3).mapping == (2, 0, 1)
+
     def test_unparseable_text(self):
         candidate = parse_candidate_text("no assignments here at all", 3)
         assert candidate.mapping is None
