@@ -521,7 +521,7 @@ def score_batch(
 # --- candidate parsing ------------------------------------------------------
 
 _JSON_OBJECT = re.compile(r"\{[^{}]*\}", re.DOTALL)
-_PAIR = re.compile(r"task\s*(\d+)\s*(?:->|->|:|→|=)\s*(?:agent\s*)?(\d+)", re.IGNORECASE)
+_PAIR = re.compile(r"task\s*(\d+)\s*(?:->|:|→|=)\s*(?:agent\s*)?(\d+)", re.IGNORECASE)
 _COST = re.compile(r"(?:total\s+)?cost\s*(?:is|=|:)?\s*(\d+(?:\.\d+)?)", re.IGNORECASE)
 
 
