@@ -739,11 +739,22 @@ def scarce(state) -> None:
             loc.contents = Counter(dict.fromkeys(loc.contents, 1))
 
 
+# the earlier agent's action, then the later agent's, on a tool holding a recipe step's exact inputs;
+# each earlier action makes the later one fail, though it was fine before the step
+_TOOL_RACES = ((Put, Activate), (Activate, Put), (Get, Activate))
+
+
 def _contended_joint(choose, state, locations):
     """Every agent acts on one of ``locations``: those elsewhere go there, those there get its last item, put or activate.
 
     With two locations, one joint can hold a location that several agents
-    act on and one that a single agent acts on.
+    act on and one that a single agent acts on. When one of ``locations``
+    is a tool that a recipe step uses and there are two agents or more,
+    the joint may also stage a race there, changing ``state`` first: the
+    tool is left idle holding that step's exact inputs, and two agents
+    stand there to take one of ``_TOOL_RACES``, the putting one with an
+    item in hand and the getting one with none, while every other agent
+    leaves the tool alone.
     """
     joint = {}
     for agent_id in state.agent_ids():
@@ -751,6 +762,31 @@ def _contended_joint(choose, state, locations):
         item = max(state.locations[location].contents, default="junk")  # the last item, in sorted order
         kind = choose([Goto, Get, Put, Activate]) if state.agents[agent_id].at == location else Goto
         joint[agent_id] = Get(agent_id, location, item) if kind is Get else kind(agent_id, location)
+
+    roster = state.agent_ids()
+    steps = {loc: [s for r in state.config.recipes for s in r.steps if s.tool_kind == state.locations[loc].tool_kind]
+             for loc in locations}
+    tools = [loc for loc in locations if steps[loc]]
+    if len(roster) < 2 or not tools or not choose([False, True]):
+        return joint
+    tool = state.locations[choose(tools)]
+    tool.contents = Counter(dict(choose(steps[tool.id]).inputs))
+    tool.processing = None
+    for agent_id, action in joint.items():
+        if action.location == tool.id and not isinstance(action, Goto):
+            joint[agent_id] = Noop(agent_id)  # the race is the racers' alone
+    first = choose(range(len(roster) - 1))
+    racers = (roster[first], roster[choose(range(first + 1, len(roster)))])
+    for agent_id, kind in zip(racers, choose(_TOOL_RACES)):
+        agent = state.agents[agent_id]
+        agent.at = tool.id
+        if kind is Get:
+            agent.holding = None
+            joint[agent_id] = Get(agent_id, tool.id, max(tool.contents))
+        else:
+            if kind is Put:
+                agent.holding = agent.holding or choose(sorted(tool.contents))
+            joint[agent_id] = kind(agent_id, tool.id)
     return joint
 
 
@@ -852,7 +888,9 @@ class TestStepProperties:
             assert check.call_count == len(joint) + shared
 
     def test_contended_joints_meet_contention(self):
-        # the contention-heavy strategy above does reach the race for a last item
+        # the contention-heavy strategy above does reach the race for a last
+        # item, and the staged races for a tool that a put or a get spoils
+        # for an activate, or an activate makes busy for a put
         lost = Counter()
         for seed in range(20):
             rng = random.Random(seed)
@@ -865,4 +903,4 @@ class TestStepProperties:
                 outcome = step(state, joint)
                 lost.update(type(joint[a]) for a, r in outcome.per_agent_result.items()
                             if r.reason is FailReason.CONTENTION)
-        assert lost[Get] > 0
+        assert lost[Get] > 0 and lost[Put] > 0 and lost[Activate] > 0, lost
