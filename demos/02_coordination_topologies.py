@@ -22,20 +22,18 @@ print("initial observation:")
 print(render_observation(state))
 
 # --- 2. the three topologies, scripted ----------------------------------------
-
-def fresh_state():
-    return load_level(LEVEL, agent_count=2, seed=SEED)
+# run_episode steps a copy of the state it is given, so one state seeds every run
 
 reports = {
     "individual": run_episode(
-        ControllerMode.INDIVIDUAL, fresh_state(),
+        ControllerMode.INDIVIDUAL, state,
         workers={a: ScriptedWorker() for a in ("agent0", "agent1")},
     ),
     "orchestrator": run_episode(
-        ControllerMode.ORCHESTRATOR, fresh_state(), central=ScriptedOrchestrator(),
+        ControllerMode.ORCHESTRATOR, state, central=ScriptedOrchestrator(),
     ),
     "planner": run_episode(
-        ControllerMode.PLANNER, fresh_state(),
+        ControllerMode.PLANNER, state,
         workers={a: ScriptedWorker() for a in ("agent0", "agent1")},
         planner=ScriptedPlanner(),
     ),
@@ -50,7 +48,7 @@ for mode, report in reports.items():
 planner = reports["planner"]
 print(f"\nplanner replanned {planner.planner_invocations} times "
       f"(once at step 0, then after every step with events)")
-first_plan, _ = ScriptedPlanner().plan("", fresh_state(), ["agent0", "agent1"], None, ())
+first_plan, _ = ScriptedPlanner().plan("", state, ["agent0", "agent1"], None, ())
 print("the step-0 plan splits the order's work units across agents:")
 for line in first_plan.to_text().splitlines():
     print("   ", line)
@@ -74,7 +72,7 @@ class BilledWorker:
         )
 
 billed = run_episode(
-    ControllerMode.INDIVIDUAL, fresh_state(),
+    ControllerMode.INDIVIDUAL, state,
     workers={"agent0": BilledWorker("gpt-4o-mini"), "agent1": BilledWorker("qwen2.5-32b")},
 )
 print(f"\nbilled run: {billed.completed_orders} orders for "

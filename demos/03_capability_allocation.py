@@ -49,7 +49,7 @@ print("\ncapability hint handed to the informed planner:")
 for line in hint.splitlines():
     print("   ", line)
 
-state = load_level(LEVEL, agent_count=2, seed=SEED)  # same seed: same orders
+# run_episode left state as it was: the informed pass serves the same orders
 informed = run_episode(
     ControllerMode.PLANNER, state, workers=build_workers(),
     planner=ScriptedPlanner(), capability_block=hint,
