@@ -52,9 +52,9 @@ observation the next step's policies see, the prompt of a replan after
 that step, and the source of the step's trace ``observation_hash`` (and,
 after the last step, of the report's ``final_observation_hash``).
 
-Trace records are read-only: within one episode, equal action results
-share one JSON dict and equal actions one text, so a record costs about
-the same at step 900 as at step 1.
+Trace records are read-only: equal action results share one JSON dict
+across all records, and within one episode equal actions share one text,
+so a record costs about the same at step 900 as at step 1.
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ from .accounting import (
 )
 from .gateway import GatewayError
 from .kitchen import (
-    ActionResult,
     Activate,
     EventKind,
+    FailReason,
     Get,
     Goto,
     KitchenAction,
@@ -376,7 +376,8 @@ class EpisodeReport:
     """One run of :func:`run_episode`; ``event_log`` holds only this run's events.
 
     ``trace`` holds one JSON-ready record per step. The records are
-    read-only: equal results share one dict and equal actions one text.
+    read-only: equal results share one dict across all records, and equal
+    actions one text within the episode.
     ``efficiency`` is the episode's :class:`EfficiencyReport`, computed
     once when the episode ends from ``completed_orders``, ``ledger`` and
     ``action_counts``.
@@ -427,6 +428,13 @@ class EpisodeReport:
             "policy_calls": dict(self.policy_calls),
             "final_observation_hash": self.final_observation_hash,
         }
+
+
+# the trace form of a step result, one read-only dict per result, shared by every record
+_RESULT_JSON: dict[FailReason | None, dict[str, Any]] = {
+    None: {"ok": True, "reason": None},
+    **{reason: {"ok": False, "reason": reason.value} for reason in FailReason},
+}
 
 
 def _call_policy(policy: Policy, query: PolicyQuery, state: KitchenState) -> PolicyResponse | str:
@@ -483,9 +491,8 @@ def run_episode(
     planner_prompts: list[str] = []
     replan_failures = 0
     trace: list[dict[str, Any]] = []
-    # equal values share one object, so a long trace stays small
+    # equal actions share one text, so a long trace stays small
     action_text = functools.cache(lambda action: action.to_text())
-    result_dict = functools.cache(ActionResult.to_json_dict)
     # each distinct text is parsed once per episode; the results are only
     # read. The lambdas look the parsers up in this module on each miss,
     # where bench/tracer.py wraps them.
@@ -566,7 +573,7 @@ def run_episode(
             fell_back = isinstance(decision, str)
             if fell_back:
                 fallbacks.append(FallbackNote(step_index, agent_id, decision))
-            ok = not fell_back and outcome.per_agent_result[agent_id].ok
+            ok = not fell_back and outcome.per_agent_result[agent_id] is None
             tally[agent_id, action_kind(actions[agent_id]), ok] += 1
         observation = render_observation(state)
         events.extend(outcome.events)
@@ -574,7 +581,7 @@ def run_episode(
             {
                 "step": step_index,
                 "actions": {a: action_text(actions[a]) for a in roster},
-                "results": {a: result_dict(outcome.per_agent_result[a]) for a in roster},
+                "results": {a: _RESULT_JSON[outcome.per_agent_result[a]] for a in roster},
                 "events": [e.to_json_dict() for e in outcome.events],
                 "observation_hash": observation_text_hash(observation),
             }

@@ -28,6 +28,7 @@ carries no live RNG and identical inputs replay byte-identically.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import random
@@ -177,12 +178,12 @@ class LevelConfig:
         return found
 
     @functools.cached_property
-    def recipe_steps_by_tool(self) -> dict[str, tuple[tuple[Counter, RecipeStep], ...]]:
-        """Each tool kind's recipe steps in config order, with their inputs as a Counter."""
-        found: dict[str, list[tuple[Counter, RecipeStep]]] = {}
+    def recipe_steps_by_tool(self) -> dict[str, tuple[RecipeStep, ...]]:
+        """Each tool kind's recipe steps in config order."""
+        found: dict[str, list[RecipeStep]] = {}
         for recipe in self.recipes:
             for step in recipe.steps:
-                found.setdefault(step.tool_kind, []).append((Counter(dict(step.inputs)), step))
+                found.setdefault(step.tool_kind, []).append(step)
         return {kind: tuple(steps) for kind, steps in found.items()}
 
     @functools.cached_property
@@ -420,27 +421,6 @@ class FailReason(str, Enum):
     CONTENTION = "contention"
 
 
-@dataclass(frozen=True)
-class ActionResult:
-    ok: bool
-    reason: FailReason | None = None
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"ok": self.ok, "reason": self.reason.value if self.reason else None}
-
-
-# every step hands out these shared results: one success, one failure per reason
-_SUCCEEDED = ActionResult(True)
-_FAILED = {reason: ActionResult(False, reason) for reason in FailReason}
-
-
-def _copy_counter(counter: Counter) -> Counter:
-    """``Counter(counter)``, filled by ``dict.update`` in C rather than ``Counter.update`` in Python."""
-    copied = Counter.__new__(Counter)
-    dict.update(copied, counter)
-    return copied
-
-
 @dataclass
 class KitchenState:
     config: LevelConfig
@@ -454,39 +434,13 @@ class KitchenState:
     completed_dishes: list[str]
 
     def copy(self) -> "KitchenState":
-        """Copy of the mutable state, by hand, field by field.
+        """Deep copy of the state that shares the immutable ``config``.
 
         :func:`step` changes the state it is given, so a caller that needs
         the state as it was takes this copy first; ``run_episode`` takes
-        one per episode, of its input. The immutable ``config`` and
-        ``dish_schedule`` are shared with the original. Everything mutable
-        is new: each agent, each location with its ``contents`` Counter and
-        its ``processing``, the ``orders`` list and each order, and the
-        ``completed_dishes`` list. ``copy.deepcopy`` stays on as the oracle
-        in the tests, which hold this copy equal to it and check that every
-        field of the class is listed here.
+        one per episode, of its input.
         """
-        return KitchenState(
-            config=self.config,
-            agents={aid: AgentState(a.id, a.at, a.holding) for aid, a in self.agents.items()},
-            locations={
-                lid: LocationState(
-                    loc.id,
-                    loc.kind,
-                    loc.tool_kind,
-                    _copy_counter(loc.contents),
-                    None if loc.processing is None
-                    else Processing(loc.processing.remaining_steps, loc.processing.output_item),
-                )
-                for lid, loc in self.locations.items()
-            },
-            orders=[DishOrder(o.dish, o.lifetime, o.issued_at, o.ordinal) for o in self.orders],
-            step=self.step,
-            dish_schedule=self.dish_schedule,
-            next_spawn_index=self.next_spawn_index,
-            expired_count=self.expired_count,
-            completed_dishes=list(self.completed_dishes),
-        )
+        return copy.deepcopy(self, {id(self.config): self.config})
 
     @property
     def completed_count(self) -> int:
@@ -498,10 +452,13 @@ class KitchenState:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """What one :func:`step` did; the stepped state itself is the one passed in."""
+    """What one :func:`step` did; the stepped state itself is the one passed in.
+
+    ``per_agent_result`` maps each agent to its action's :class:`FailReason`, ``None`` on success.
+    """
 
     events: tuple[KitchenEvent, ...]
-    per_agent_result: dict[str, ActionResult]
+    per_agent_result: dict[str, FailReason | None]
 
 
 # --- operations -------------------------------------------------------------
@@ -550,8 +507,8 @@ def load_level(config: LevelConfig, agent_count: int, seed: int) -> KitchenState
 
 def _match_recipe_step(config: LevelConfig, tool_kind: str, contents: Counter) -> RecipeStep | None:
     """First recipe step (config order) whose tool and exact inputs match."""
-    for inputs, step in config.recipe_steps_by_tool.get(tool_kind, ()):
-        if inputs == contents:
+    for step in config.recipe_steps_by_tool.get(tool_kind, ()):
+        if step.inputs == contents:  # exact: inputs count at least 1, and no tool holds a count of 0
             return step
     return None
 
@@ -678,16 +635,16 @@ def step(state: KitchenState, joint: Mapping[str, KitchenAction]) -> StepOutcome
                 fine_before.add(agent_id)
             acted_on.add(action.location)
     events: list[KitchenEvent] = []
-    results: dict[str, ActionResult] = {}
+    results: dict[str, FailReason | None] = {}
 
     for agent_id in agent_ids:
         action = joint[agent_id]
         reason = _check_action(state, action)
         if reason is None:
             events.extend(_apply_action(state, action))
-            results[agent_id] = _SUCCEEDED
-        else:
-            results[agent_id] = _FAILED[FailReason.CONTENTION if agent_id in fine_before else reason]
+        elif agent_id in fine_before:
+            reason = FailReason.CONTENTION
+        results[agent_id] = reason
 
     # each countdown touches only its own location, so the order is free
     for loc in state.locations.values():

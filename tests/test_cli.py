@@ -253,7 +253,8 @@ def reference_replay(trace: Path) -> int:
         replayed = {
             "step": step_index,
             "actions": {agent: action.to_text() for agent, action in actions.items()},
-            "results": {agent: outcome.per_agent_result[agent].to_json_dict() for agent in roster},
+            "results": {agent: {"ok": reason is None, "reason": None if reason is None else reason.value}
+                        for agent, reason in outcome.per_agent_result.items()},
             "events": [e.to_json_dict() for e in outcome.events],
             "observation_hash": observation_hash(state),
         }

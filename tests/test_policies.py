@@ -78,7 +78,7 @@ class TestWorkUnits:
             action = advance_unit(state, "agent0", unit)
             assert action == want
             outcome = step(state, {"agent0": action})
-            assert outcome.per_agent_result["agent0"].ok
+            assert outcome.per_agent_result["agent0"] is None
         # while cooking there is nothing for the cook unit to do
         assert advance_unit(state, "agent0", unit) is None
 
@@ -116,7 +116,7 @@ class TestWorkUnits:
                     at = state.step
                     outcome = step(state, joint)
                     for agent_id, result in outcome.per_agent_result.items():
-                        assert result.ok, (level_id, agents, at, joint[agent_id])
+                        assert result is None, (level_id, agents, at, joint[agent_id])
 
     def test_oracle_never_crashes_on_random_levels(self):
         # random levels may stall the oracle but must never make it illegal-act
@@ -327,7 +327,7 @@ class TestOracleMatchesReference:
             for noise in (0.0, 0.2, 1.0):
                 for state, _ in oracle_walk(level, 1 + seed % 6, seed, noise):
                     # items no recipe step of a tool's kind takes or makes
-                    own = {kind: {item for _, s in steps for item in (*s.inputs, s.output)}
+                    own = {kind: {item for s in steps for item in (*s.inputs, s.output)}
                            for kind, steps in state.config.recipe_steps_by_tool.items()}
                     for loc in state.locations.values():
                         if loc.tool_kind is not None:
