@@ -34,6 +34,53 @@ from allocsim.assignment import (
 )
 
 
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def int_arrays(draw, max_n: int = 40) -> np.ndarray:
+    """A square integer array of any int or uint dtype holding both ends of
+    its cost range; the range spans one value, about the entry count, or
+    anything up to the dtype's maximum (uint64 reaches past ``2**63``)."""
+    dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
+    n = draw(st.integers(1, max_n))
+    top = int(np.iinfo(dtype).max)
+    span = draw(st.one_of(
+        st.integers(0, 3),
+        st.integers(max(0, n * n - 2), n * n + 1),  # about as many values as entries
+        st.integers(0, top),
+    ))
+    span = min(span, top)
+    lo = draw(st.one_of(st.just(0), st.just(top - span), st.integers(0, top - span)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    array = rng.integers(lo, lo + span, size=(n, n), dtype=dtype, endpoint=True)
+    cells = rng.permutation(n * n)
+    array.flat[cells[0]] = lo + span
+    array.flat[cells[-1]] = lo  # the last cell is the first one when n is 1
+    return array
+
+
+@st.composite
+def other_matrices(draw) -> CostMatrix:
+    """A small matrix built from rows, or from a float or bool array."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ints = rng.integers(0, draw(st.sampled_from([1, 4, 100, 2**63 - 1])), size=(n, n), endpoint=True)
+    kind = draw(st.sampled_from(["int-rows", "float-array", "whole-float-array", "float-rows", "bool-array", "bool-rows"]))
+    if kind == "int-rows":
+        return CostMatrix.from_rows(ints.tolist())
+    if kind == "float-array":
+        return CostMatrix(rng.random((n, n)) * 10.0 ** draw(st.integers(-5, 9)))
+    if kind == "whole-float-array":
+        return CostMatrix((ints % 1000).astype(float))
+    if kind == "float-rows":
+        return CostMatrix.from_rows((ints % 1000 + rng.random((n, n))).tolist())
+    if kind == "bool-array":
+        return CostMatrix(ints % 2 == 1)
+    return CostMatrix.from_rows([[bool(v % 2) if (i + j) % 2 else int(v) for j, v in enumerate(row)]
+                                 for i, row in enumerate(ints.tolist())])
+
+
 def reference_optimum(matrix: CostMatrix) -> Assignment:
     """Plain-Python oracle: scan permutations in lexicographic order."""
     best_mapping = None
@@ -628,6 +675,21 @@ class TestParsingAndSerialization:
             for instances in (ints, floats, ints + floats):
                 expected = json.dumps([m.to_json_dict() for m in instances], indent=2, sort_keys=True)
                 assert dump_instances(instances) == expected
+
+    @given(int_arrays())
+    @settings(max_examples=150, deadline=None)
+    def test_instances_text_of_any_int_array(self, array):
+        matrix = CostMatrix(array)
+        text, solved = dump_instances([matrix]), hungarian_solve(matrix)
+        assert text == json.dumps([matrix.to_json_dict()], indent=2, sort_keys=True)
+        array[:] = np.where(array == 0, 1, 0)  # the matrix keeps nothing of the caller's array
+        assert dump_instances([matrix]) == text and hungarian_solve(matrix) == solved
+
+    @given(st.lists(st.one_of(int_arrays(max_n=12).map(CostMatrix), other_matrices()), max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_instances_text_of_mixed_batches(self, instances):
+        expected = json.dumps([m.to_json_dict() for m in instances], indent=2, sort_keys=True)
+        assert dump_instances(instances) == expected
 
     def test_candidates_round_trip(self):
         candidates = [

@@ -3,7 +3,9 @@
 ``bench/tracer.py`` wraps program attributes by name for ``--trace 1``, and
 the ``kitchen-model`` job builder in ``bench/workloads.py`` subclasses
 ``ScriptedPlanner``. A rename or a deletion in ``src/`` would break either
-one without any other test failing.
+one without any other test failing. The ``assign-*`` checks read back the
+``instances.json`` that ``assign-eval`` writes, so a writer that breaks
+them fails here and not only in a benchmark run.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from allocsim import cli
 from allocsim.cli import main
@@ -92,3 +96,17 @@ def test_kitchen_model_planner_job_builds_and_checks(tmp_path, monkeypatch):
     assert main([*job.argv, "--output", str(out)]) == 0
     record, stats = workloads.KitchenModel(seed=1).check(job, out)
     assert record["replan_failures"] == 0 and stats["fallbacks"] == 0
+
+
+@pytest.mark.parametrize("name", ["assign-ties", "assign-wide"])
+def test_assign_jobs_build_and_check(name, tmp_path, monkeypatch):
+    workloads = load_bench_module("workloads", monkeypatch)
+    workload = workloads.WORKLOADS[name](seed=1)
+    middle = workload.sizes[len(workload.sizes) // 2]  # the size of the median job
+    jobs = [job for job in workload.build(tmp_path) if job.expect["n"] == middle]
+    assert sorted(job.expect["allocator"] for job in jobs) == ["hungarian", "mock"]
+    for job in jobs:
+        out = tmp_path / job.expect["allocator"]
+        assert main([*job.argv, "--output", str(out)]) == 0
+        record, stats = workload.check(job, out)
+        assert record["n"] == middle and stats["work"] == stats["graded"] == len(job.expect["matrices"])

@@ -182,11 +182,22 @@ def test_capability_sweep_with_mock_planner(tmp_path, capsys, monkeypatch):
     assert run_digest(argv, tmp_path, capsys) == MOCK_SWEEP_RUN
 
 
+_ASSIGN_SMALL = ["--instances", "6", "--n-min", "2", "--n-max", "9", "--lo", "0", "--hi", "5"]
 ASSIGN_RUNS = {
-    "hungarian": "ca38a27af1de19b05ba33bba8dd9f5bde9ad6b6ad17285f2ce8f1b2ab7ab4658",
-    "greedy": "d9cbee2c37ea800e3efb31caf224d1d973841511fbbfe889330d89963d00794c",
-    "random": "a6a9cbb2dff9def5ed168ef4722529765a3d5316d2f123b6c097868e45875662",
-    "mock": "5e5c0b386607aa88c6e66abf36e8b00e9a1285c19d2b15151fbb99a6c9defcf6",
+    "hungarian": ([*_ASSIGN_SMALL, "--allocator", "hungarian"],
+                  "ca38a27af1de19b05ba33bba8dd9f5bde9ad6b6ad17285f2ce8f1b2ab7ab4658"),
+    "greedy": ([*_ASSIGN_SMALL, "--allocator", "greedy"],
+               "d9cbee2c37ea800e3efb31caf224d1d973841511fbbfe889330d89963d00794c"),
+    "random": ([*_ASSIGN_SMALL, "--allocator", "random"],
+               "a6a9cbb2dff9def5ed168ef4722529765a3d5316d2f123b6c097868e45875662"),
+    "mock": ([*_ASSIGN_SMALL, "--allocator", "mock"],
+             "5e5c0b386607aa88c6e66abf36e8b00e9a1285c19d2b15151fbb99a6c9defcf6"),
+    # the assign-ties benchmark's shape: ties everywhere, large n
+    "ties": (["--instances", "3", "--n-min", "64", "--n-max", "72", "--lo", "0", "--hi", "3"],
+             "f541cbfd3ad5cfc889b694d69c0c66b3747b7ebb25670e1961afedf775098ba9"),
+    # the largest cost the CLI accepts
+    "int64-max": (["--instances", "4", "--n-min", "1", "--n-max", "6", "--hi", "9223372036854775807"],
+                  "1d95c2c0e69b3cf432714630efcfae927d86eff2021321c0320169b4d87fda94"),
 }
 
 # seed 1 draws n = 7, 8, 7, 8, 6, 4: an optimal free-form answer with
@@ -204,12 +215,12 @@ _MOCK_CANDIDATES = [
 ]
 
 
-@pytest.mark.parametrize("allocator", sorted(ASSIGN_RUNS))
-def test_assign_eval(allocator, tmp_path, capsys):
-    argv = ["assign-eval", "--seed", "1", "--instances", "6", "--n-min", "2", "--n-max", "9",
-            "--lo", "0", "--hi", "5", "--allocator", allocator]
-    if allocator == "mock":
+@pytest.mark.parametrize("case", sorted(ASSIGN_RUNS))
+def test_assign_eval(case, tmp_path, capsys):
+    args, digest = ASSIGN_RUNS[case]
+    argv = ["assign-eval", "--seed", "1", *args]
+    if case == "mock":
         mock_file = tmp_path / "mock.json"
         mock_file.write_text(json.dumps(_MOCK_CANDIDATES), encoding="utf-8")
         argv += ["--mock-file", str(mock_file)]
-    assert run_digest(argv, tmp_path, capsys) == ASSIGN_RUNS[allocator]
+    assert run_digest(argv, tmp_path, capsys) == digest
