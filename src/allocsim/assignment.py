@@ -21,6 +21,13 @@ optima, so cross-checking can compare mappings and not just costs.
 :func:`validate` and :func:`score_batch` grade arbitrary candidate
 assignments (e.g. parsed from model output) for validity and optimality.
 A candidate is never an error: malformed input turns into violations.
+
+:func:`dump_instances` writes ``instances.json`` as ``json.dumps`` would.
+A matrix built from an integer array keeps a read-only copy of it. When
+that matrix's [min, max] range holds no more values than it has entries,
+each value is formatted once and numpy picks every entry's string from
+that table; a wider range is written with one ``"%d"`` format per row. A
+batch holding any other matrix goes through :func:`.jsonout.dumps_indented`.
 """
 
 from __future__ import annotations
@@ -49,9 +56,13 @@ class CostMatrix:
 
     ``values[i][j]`` is the cost of assigning agent ``j`` to task ``i``.
     Equality, hashing and the repr come from ``values`` alone. ``values``
-    may also be given as a 2-D numpy array: it is checked once, and stored
-    as ``tuple(map(tuple, array.tolist()))``, so the matrix equals
-    ``CostMatrix.from_rows(array.tolist())``.
+    may also be given as a 2-D numpy array: it is checked once and turned
+    into rows with ``tolist``, so the matrix equals
+    ``CostMatrix.from_rows(array.tolist())``. Any matrix that passes the
+    one-array check keeps a read-only float copy for the solvers, and one
+    built from an integer array also keeps a read-only copy of that array,
+    from which :func:`dump_instances` writes its entries; the caller may
+    change its own array afterwards.
     """
 
     values: tuple[tuple[float, ...], ...]
@@ -74,15 +85,21 @@ class CostMatrix:
             and np.isfinite(array).all()
             and (array >= 0).all()
         ):
-            # ``tolist`` of an integer array gives exactly ``int`` entries,
-            # which dump_instances then writes without looking at each one
-            object.__setattr__(self, "_int_entries", array is given and array.dtype.kind in "iu")
+            # only an integer array's entries are known to be exactly ``int``;
+            # rows may hold bools or numpy scalars, which json writes otherwise
+            # or not at all. The caller may change its array later, so the
+            # writer gets a private copy.
+            ints = None
+            if array is given and array.dtype.kind in "iu":
+                ints = array.copy()
+                ints.flags.writeable = False
+            object.__setattr__(self, "_ints", ints)
             # the checked array is what the solvers read, so a private copy is kept
             array = array.astype(float)
             array.flags.writeable = False
             object.__setattr__(self, "_array", array)
             return
-        object.__setattr__(self, "_int_entries", False)
+        object.__setattr__(self, "_ints", None)
         object.__setattr__(self, "_array", None)
         # anything else is judged entry by entry, which also names the first
         # bad entry in the error
@@ -563,28 +580,48 @@ def parse_candidate_text(text: str, n: int) -> Candidate:
 # --- serialization ----------------------------------------------------------
 
 
+_ENTRY_SEP = ",\n        "
+_ROW_SEP = "\n      ],\n      [\n        "
+
+
 def dump_instances(instances: Iterable[CostMatrix]) -> str:
     """``json.dumps([m.to_json_dict() ...], indent=2, sort_keys=True)``, byte for byte.
 
-    A non-empty batch of matrices built from integer arrays, whose entries
-    are known to be exactly ``int``, is written with one ``"%d"`` row
-    format per matrix and its entries are not looked at. Anything else
-    goes through :func:`.jsonout.dumps_indented`, which gives the same text.
+    A non-empty batch of matrices built from integer arrays is written from
+    the copies of those arrays that the matrices keep (see
+    :class:`CostMatrix`), each matrix by :func:`_int_rows`, and its entries
+    are not looked at one by one in Python. Anything else goes through
+    :func:`.jsonout.dumps_indented`, which gives the same text.
     """
     instances = list(instances)
-    if not instances or not all(m._int_entries for m in instances):
+    if not instances or any(m._ints is None for m in instances):
         return dumps_indented([m.to_json_dict() for m in instances])
-    entry_sep = ",\n        "
-    rows_sep = "\n      ],\n      [\n        "
-    blocks = []
-    for m in instances:
-        rows = map(entry_sep.join(["%d"] * m.n).__mod__, m.values)
-        blocks.append(
-            f'  {{\n    "n": {m.n},\n    "values": [\n      [\n        '
-            + rows_sep.join(rows)
-            + "\n      ]\n    ]\n  }"
-        )
+    blocks = [
+        f'  {{\n    "n": {m.n},\n    "values": [\n      [\n        {_int_rows(m)}\n      ]\n    ]\n  }}'
+        for m in instances
+    ]
     return "[\n" + ",\n".join(blocks) + "\n]"
+
+
+def _int_rows(matrix: CostMatrix) -> str:
+    """The rows of an integer matrix as ``dump_instances`` writes them.
+
+    When the matrix's [min, max] range holds no more values than the matrix
+    has entries, each value in it is formatted once, with the separator
+    that follows it, and numpy picks each entry's string from that table;
+    one join then writes the whole matrix. A wider range would make the
+    table bigger than the matrix, so its rows are formatted with ``"%d"``.
+    """
+    ints = matrix._ints
+    lo, hi = int(ints.min()), int(ints.max())
+    if hi - lo >= ints.size:
+        return _ROW_SEP.join(map(_ENTRY_SEP.join(["%d"] * matrix.n).__mod__, matrix.values))
+    texts = [str(v) for v in range(lo, hi + 1)]
+    cells = np.array([t + _ENTRY_SEP for t in texts], dtype=object)[ints - lo]
+    # each row's last entry carries the row separator, which the matrix's
+    # last entry then drops
+    cells[:, -1] = np.array([t + _ROW_SEP for t in texts], dtype=object)[ints[:, -1] - lo]
+    return "".join(cells.ravel().tolist())[: -len(_ROW_SEP)]
 
 
 def dump_candidates(candidates: Iterable[Candidate]) -> str:
