@@ -32,7 +32,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -222,10 +222,11 @@ _ALLOCATORS = ("hungarian", "greedy", "random", "mock")
 
 
 def _allocate(matrix: asg.CostMatrix, allocator: str, rng: np.random.Generator,
-              mock_pool: list[Any] | None, solved: asg.Assignment) -> asg.Candidate:
+              mock_pool: Iterator[Any] | None, solved: asg.Assignment) -> asg.Candidate:
     """One candidate for ``matrix``; ``solved`` is its optimal assignment.
 
-    ``allocator`` is one of ``_ALLOCATORS``, checked by the caller.
+    ``allocator`` is one of ``_ALLOCATORS``, checked by the caller, and for
+    ``mock`` the caller checked that the pool holds an entry per instance.
     """
     if allocator == "hungarian":
         return asg.Candidate(
@@ -238,9 +239,7 @@ def _allocate(matrix: asg.CostMatrix, allocator: str, rng: np.random.Generator,
         mapping = tuple(int(x) for x in rng.permutation(matrix.n))
         return asg.Candidate(mapping, matrix.cost_of(mapping), raw_text=str(mapping))
     # "mock"
-    if not mock_pool:
-        raise ConfigError("mock allocator ran out of scripted candidates")
-    entry = mock_pool.pop(0)
+    entry = next(mock_pool)
     if isinstance(entry, str):
         return asg.parse_candidate_text(entry, matrix.n)
     return asg.Candidate.from_json_dict(entry)
@@ -291,7 +290,11 @@ def cmd_assign_eval(args: argparse.Namespace) -> int:
         mock_file = conf.get("mock_file")
         if not mock_file:
             raise ConfigError("assign-eval: allocator 'mock' needs --mock-file")
-        mock_pool = _load_mock_pool(Path(mock_file))
+        pool = _load_mock_pool(Path(mock_file))
+        if len(pool) < count:
+            raise ConfigError(f"assign-eval: mock file {mock_file} has {len(pool)} of the {count} "
+                              "candidates needed, one per instance")
+        mock_pool = iter(pool)
 
     output.mkdir(parents=True, exist_ok=True)
     instances: list[asg.CostMatrix] = []

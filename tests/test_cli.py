@@ -633,6 +633,7 @@ BAD_INPUT = [
             ("mock-file-a-string", '"task 0 -> agent 0"'),
             ("mock-entry-a-number", '[5]'),
             ("mock-entry-mapping-a-number", '[{"mapping": 5}]'),
+            ("mock-file-shorter-than-instances", '["task 0 -> agent 0"]'),
         ]
     ],
     pytest.param(_config_run([*_ASSIGN, "--allocator", "mock", "--n-min", "2", "--n-max", "2"],
