@@ -43,7 +43,7 @@ def int_arrays(draw, max_n: int = 40) -> np.ndarray:
     its cost range; the range spans one value, about the entry count, or
     anything up to the dtype's maximum (uint64 reaches past ``2**63``)."""
     dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
-    n = draw(st.integers(1, max_n))
+    n = draw(st.sampled_from(range(1, max_n + 1)))  # integers() would favour n = 1
     top = int(np.iinfo(dtype).max)
     span = draw(st.one_of(
         st.integers(0, 3),
