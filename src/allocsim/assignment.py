@@ -26,8 +26,8 @@ A candidate is never an error: malformed input turns into violations.
 A matrix built from an integer array keeps a read-only copy of it. When
 that matrix's [min, max] range holds no more values than it has entries,
 each value is formatted once and numpy picks every entry's string from
-that table; a wider range is written with one ``"%d"`` format per row. A
-batch holding any other matrix goes through :func:`.jsonout.dumps_indented`.
+that table; a wider range is written with one ``"%d"`` format per row.
+A batch holding any other matrix goes through :func:`.jsonout.dumps_indented`.
 """
 
 from __future__ import annotations
@@ -85,10 +85,9 @@ class CostMatrix:
             and np.isfinite(array).all()
             and (array >= 0).all()
         ):
-            # only an integer array's entries are known to be exactly ``int``;
-            # rows may hold bools or numpy scalars, which json writes otherwise
-            # or not at all. The caller may change its array later, so the
-            # writer gets a private copy.
+            # only an integer array's entries are known to be exactly ``int``
+            # (rows may hold bools or numpy scalars, which json writes
+            # otherwise or not at all); the caller may change its array later
             ints = None
             if array is given and array.dtype.kind in "iu":
                 ints = array.copy()
@@ -589,9 +588,13 @@ def dump_instances(instances: Iterable[CostMatrix]) -> str:
 
     A non-empty batch of matrices built from integer arrays is written from
     the copies of those arrays that the matrices keep (see
-    :class:`CostMatrix`), each matrix by :func:`_int_rows`, and its entries
-    are not looked at one by one in Python. Anything else goes through
-    :func:`.jsonout.dumps_indented`, which gives the same text.
+    :class:`CostMatrix`). When a matrix's [min, max] range holds no more
+    values than the matrix has entries, each value in it is formatted once,
+    with the separator that follows it, numpy picks every entry's string
+    from that table, and one join writes the matrix. A wider range would
+    make the table bigger than the matrix, so its rows are formatted with
+    ``"%d"``. Anything else goes through :func:`.jsonout.dumps_indented`,
+    which gives the same text.
     """
     instances = list(instances)
     if not instances or any(m._ints is None for m in instances):
@@ -604,14 +607,7 @@ def dump_instances(instances: Iterable[CostMatrix]) -> str:
 
 
 def _int_rows(matrix: CostMatrix) -> str:
-    """The rows of an integer matrix as ``dump_instances`` writes them.
-
-    When the matrix's [min, max] range holds no more values than the matrix
-    has entries, each value in it is formatted once, with the separator
-    that follows it, and numpy picks each entry's string from that table;
-    one join then writes the whole matrix. A wider range would make the
-    table bigger than the matrix, so its rows are formatted with ``"%d"``.
-    """
+    """The rows of a matrix built from an integer array, as :func:`dump_instances` writes them."""
     ints = matrix._ints
     lo, hi = int(ints.min()), int(ints.max())
     if hi - lo >= ints.size:
