@@ -23,10 +23,11 @@ assignments (e.g. parsed from model output) for validity and optimality.
 A candidate is never an error: malformed input turns into violations.
 
 :func:`dump_instances` writes ``instances.json`` as ``json.dumps`` would.
-A matrix built from an integer array keeps a read-only copy of it. When
-that matrix's [min, max] range holds no more values than it has entries,
-each value is formatted once and numpy picks every entry's string from
-that table; a wider range is written with one ``"%d"`` format per row.
+For a matrix built from an integer array whose [min, max] range holds no
+more values than it has entries, each value is formatted once and numpy
+picks every entry's string from that table, read off the float copy the
+matrix keeps for the solvers; a wider range, or an entry of ``2**53`` or
+more, is written with one ``"%d"`` format per row.
 A batch holding any other matrix goes through :func:`.jsonout.dumps_indented`.
 """
 
@@ -59,10 +60,10 @@ class CostMatrix:
     may also be given as a 2-D numpy array: it is checked once and turned
     into rows with ``tolist``, so the matrix equals
     ``CostMatrix.from_rows(array.tolist())``. Any matrix that passes the
-    one-array check keeps a read-only float copy for the solvers, and one
-    built from an integer array also keeps a read-only copy of that array,
-    from which :func:`dump_instances` writes its entries; the caller may
-    change its own array afterwards.
+    one-array check keeps a private read-only float copy of it, which the
+    solvers read; the caller may change its own array afterwards. For a
+    matrix built from an integer array, :func:`dump_instances` also reads
+    that copy, which holds every entry below ``2**53`` exactly.
     """
 
     values: tuple[tuple[float, ...], ...]
@@ -85,20 +86,17 @@ class CostMatrix:
             and np.isfinite(array).all()
             and (array >= 0).all()
         ):
-            # only an integer array's entries are known to be exactly ``int``
-            # (rows may hold bools or numpy scalars, which json writes
-            # otherwise or not at all); the caller may change its array later
-            ints = None
-            if array is given and array.dtype.kind in "iu":
-                ints = array.copy()
-                ints.flags.writeable = False
-            object.__setattr__(self, "_ints", ints)
-            # the checked array is what the solvers read, so a private copy is kept
+            # only an integer array's entries are known to be exactly ``int``:
+            # rows may hold bools or numpy scalars, which json writes
+            # otherwise or not at all
+            object.__setattr__(self, "_int_entries", array is given and array.dtype.kind in "iu")
+            # the checked array is what the solvers and dump_instances read,
+            # and the caller may change its own later, so a private copy is kept
             array = array.astype(float)
             array.flags.writeable = False
             object.__setattr__(self, "_array", array)
             return
-        object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "_int_entries", False)
         object.__setattr__(self, "_array", None)
         # anything else is judged entry by entry, which also names the first
         # bad entry in the error
@@ -587,17 +585,18 @@ def dump_instances(instances: Iterable[CostMatrix]) -> str:
     """``json.dumps([m.to_json_dict() ...], indent=2, sort_keys=True)``, byte for byte.
 
     A non-empty batch of matrices built from integer arrays is written from
-    the copies of those arrays that the matrices keep (see
-    :class:`CostMatrix`). When a matrix's [min, max] range holds no more
-    values than the matrix has entries, each value in it is formatted once,
-    with the separator that follows it, numpy picks every entry's string
-    from that table, and one join writes the matrix. A wider range would
-    make the table bigger than the matrix, so its rows are formatted with
-    ``"%d"``. Anything else goes through :func:`.jsonout.dumps_indented`,
-    which gives the same text.
+    the float copies that the matrices keep (see :class:`CostMatrix`). When
+    a matrix's [min, max] range holds no more values than the matrix has
+    entries, and its copy holds them all exactly, each value in the range
+    is formatted once, with the separator that follows it, numpy picks
+    every entry's string from that table, and one join writes the matrix.
+    A wider range would make the table bigger than the matrix, so such a
+    matrix, like one with an entry of ``2**53`` or more, has its rows of
+    exact ``int`` formatted with ``"%d"``. Anything else goes through
+    :func:`.jsonout.dumps_indented`, which gives the same text.
     """
     instances = list(instances)
-    if not instances or any(m._ints is None for m in instances):
+    if not instances or not all(m._int_entries for m in instances):
         return dumps_indented([m.to_json_dict() for m in instances])
     blocks = [
         f'  {{\n    "n": {m.n},\n    "values": [\n      [\n        {_int_rows(m)}\n      ]\n    ]\n  }}'
@@ -608,15 +607,17 @@ def dump_instances(instances: Iterable[CostMatrix]) -> str:
 
 def _int_rows(matrix: CostMatrix) -> str:
     """The rows of a matrix built from an integer array, as :func:`dump_instances` writes them."""
-    ints = matrix._ints
-    lo, hi = int(ints.min()), int(ints.max())
-    if hi - lo >= ints.size:
+    costs = matrix._array
+    lo, hi = int(costs.min()), int(costs.max())
+    # a float at or past 2**53 may be a rounded entry, and one below is exact
+    if hi - lo >= costs.size or hi >= 2**53:
         return _ROW_SEP.join(map(_ENTRY_SEP.join(["%d"] * matrix.n).__mod__, matrix.values))
     texts = [str(v) for v in range(lo, hi + 1)]
-    cells = np.array([t + _ENTRY_SEP for t in texts], dtype=object)[ints - lo]
+    index = (costs - lo).astype(np.intp)
+    cells = np.array([t + _ENTRY_SEP for t in texts], dtype=object)[index]
     # each row's last entry carries the row separator, which the matrix's
     # last entry then drops
-    cells[:, -1] = np.array([t + _ROW_SEP for t in texts], dtype=object)[ints[:, -1] - lo]
+    cells[:, -1] = np.array([t + _ROW_SEP for t in texts], dtype=object)[index[:, -1]]
     return "".join(cells.ravel().tolist())[: -len(_ROW_SEP)]
 
 

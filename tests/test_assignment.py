@@ -81,6 +81,16 @@ def other_matrices(draw) -> CostMatrix:
                                  for i, row in enumerate(ints.tolist())])
 
 
+def assert_same_text(got: str, expected: str) -> None:
+    """``assert got == expected``, naming the first line that differs:
+    pytest's diff of two long, repetitive texts can take minutes."""
+    if got != expected:
+        got_lines, expected_lines = got.splitlines(keepends=True), expected.splitlines(keepends=True)
+        i = next((i for i, pair in enumerate(zip(got_lines, expected_lines)) if pair[0] != pair[1]),
+                 min(len(got_lines), len(expected_lines)))
+        raise AssertionError(f"line {i}: {got_lines[i:i + 1]!r} != {expected_lines[i:i + 1]!r}")
+
+
 def reference_optimum(matrix: CostMatrix) -> Assignment:
     """Plain-Python oracle: scan permutations in lexicographic order."""
     best_mapping = None
@@ -659,7 +669,7 @@ class TestParsingAndSerialization:
         batches = [[arrays[0]], arrays, arrays + rows, rows + arrays + floats, floats + arrays, arrays + bools, bools[1:]]
         for instances in batches:
             expected = json.dumps([m.to_json_dict() for m in instances], indent=2, sort_keys=True)
-            assert dump_instances(instances) == expected
+            assert_same_text(dump_instances(instances), expected)
             assert read_instances(expected) == instances
 
     def test_numpy_scalar_entries_are_not_json(self):
@@ -681,15 +691,16 @@ class TestParsingAndSerialization:
     def test_instances_text_of_any_int_array(self, array):
         matrix = CostMatrix(array)
         text, solved = dump_instances([matrix]), hungarian_solve(matrix)
-        assert text == json.dumps([matrix.to_json_dict()], indent=2, sort_keys=True)
+        assert_same_text(text, json.dumps([matrix.to_json_dict()], indent=2, sort_keys=True))
         array[:] = np.where(array == 0, 1, 0)  # the matrix keeps nothing of the caller's array
-        assert dump_instances([matrix]) == text and hungarian_solve(matrix) == solved
+        assert_same_text(dump_instances([matrix]), text)
+        assert hungarian_solve(matrix) == solved
 
     @given(st.lists(st.one_of(int_arrays(max_n=12).map(CostMatrix), other_matrices()), max_size=5))
     @settings(max_examples=150, deadline=None)
     def test_instances_text_of_mixed_batches(self, instances):
         expected = json.dumps([m.to_json_dict() for m in instances], indent=2, sort_keys=True)
-        assert dump_instances(instances) == expected
+        assert_same_text(dump_instances(instances), expected)
 
     def test_candidates_round_trip(self):
         candidates = [
