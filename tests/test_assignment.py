@@ -66,7 +66,8 @@ def other_matrices(draw) -> CostMatrix:
     n = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ints = rng.integers(0, draw(st.sampled_from([1, 4, 100, 2**63 - 1])), size=(n, n), endpoint=True)
-    kind = draw(st.sampled_from(["int-rows", "float-array", "whole-float-array", "float-rows", "bool-array", "bool-rows"]))
+    kind = draw(st.sampled_from(
+        ["int-rows", "float-array", "whole-float-array", "float-rows", "bool-array", "bool-rows"]))
     if kind == "int-rows":
         return CostMatrix.from_rows(ints.tolist())
     if kind == "float-array":
