@@ -1,9 +1,16 @@
 """Call-cost ledger, capability tracking, and the efficiency metric.
 
 Dollar amounts are exact: prices are per-million-token rationals and
-token counts are integers, so every row's cost and the ledger total are
-``fractions.Fraction`` values with no float drift. Floats appear only
-when a report is rendered.
+token counts are integers. A :class:`PriceTable` puts every price over
+one common denominator when it is built (the lcm of the price
+denominators times 10**6), so each model has an integer input and output
+rate per token, and billing a call is two integer multiplies. A ledger
+row keeps its cost as that integer numerator over the table's
+denominator; ``row.usd``, the ledger total and the efficiency report are
+exact ``fractions.Fraction`` values built from it on demand, with no
+float drift. Floats appear only when a report is rendered, as
+``numerator / denominator``: CPython's int true division is correctly
+rounded, so each float equals ``float`` of the reduced ``Fraction``.
 
 Capability profiles track per-agent action success rates, which double as
 a proxy for worker model quality: parse failures, transport failures, and
@@ -16,10 +23,11 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from operator import attrgetter
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .kitchen import ACTION_KINDS
 
@@ -49,17 +57,36 @@ def _to_fraction(value: float | int | str | Decimal | Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class PriceTable:
+    """Prices per model, and the integer rates the ledger bills with.
+
+    ``denominator`` is the lcm of every price's denominator times 10**6;
+    ``rates[model]`` is the (input, output) dollars per token times
+    ``denominator``, both integers.
+    """
+
     prices: Mapping[str, ModelPrice]
+    denominator: int = field(init=False, repr=False, compare=False)
+    rates: Mapping[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        scale = math.lcm(*(
+            usd.denominator
+            for price in self.prices.values()
+            for usd in (price.input_usd_per_mtok, price.output_usd_per_mtok)
+        ))
+
+        def rate(usd: Fraction) -> int:
+            return usd.numerator * (scale // usd.denominator)
+
+        rates = {
+            model: (rate(price.input_usd_per_mtok), rate(price.output_usd_per_mtok))
+            for model, price in self.prices.items()
+        }
+        object.__setattr__(self, "denominator", scale * _MTOK)
+        object.__setattr__(self, "rates", rates)
 
     def __contains__(self, model_id: str) -> bool:
         return model_id in self.prices
-
-    def usd_for(self, model_id: str, tokens_in: int, tokens_out: int) -> Fraction:
-        # (tokens_in * a/b + tokens_out * c/d) / 1e6 over one common denominator
-        price = self.prices[model_id]
-        a, b = price.input_usd_per_mtok.as_integer_ratio()
-        c, d = price.output_usd_per_mtok.as_integer_ratio()
-        return Fraction(tokens_in * a * d + tokens_out * c * b, b * d * _MTOK)
 
     @classmethod
     def from_entries(cls, entries: Mapping[str, tuple[Any, Any]]) -> "PriceTable":
@@ -84,19 +111,28 @@ def default_price_table() -> PriceTable:
     )
 
 
-@dataclass(frozen=True)
-class LedgerRow:
+class LedgerRow(NamedTuple):
+    """One billed call; it costs ``usd_numerator / usd_denominator`` dollars."""
+
     model_id: str
     role: str  # "planner", "orchestrator", or "worker:<agent id>"
     tokens_in: int
     tokens_out: int
-    usd: Fraction
+    usd_numerator: int
+    usd_denominator: int  # the price table's denominator
     step: int
     unpriced: bool = False
+
+    @property
+    def usd(self) -> Fraction:
+        return Fraction(self.usd_numerator, self.usd_denominator)
 
 
 class CostLedger:
     """Append-only record of model calls with exact dollar arithmetic.
+
+    Every row is billed over the price table's denominator, which is what
+    lets :meth:`total_usd` add the rows' numerators alone.
 
     The program always bills at :func:`default_price_table`; ``price_table``
     lets a test price made-up models (``TestLedgerOracle``).
@@ -117,36 +153,31 @@ class CostLedger:
         """Bill one call; a model without a price warns and is kept as an unpriced $0 row."""
         if tokens_in < 0 or tokens_out < 0:
             raise ValueError("token counts must be >= 0")
-        if model_id in self.price_table:
-            usd = self.price_table.usd_for(model_id, tokens_in, tokens_out)
-            unpriced = False
-        else:
+        table = self.price_table
+        rates = table.rates.get(model_id)
+        if rates is None:
             warnings.warn(f"model {model_id!r} has no price; contributing $0", stacklevel=2)
-            usd = Fraction(0)
-            unpriced = True
-        row = LedgerRow(model_id, role, tokens_in, tokens_out, usd, step, unpriced)
+            row = LedgerRow(model_id, role, tokens_in, tokens_out, 0, table.denominator, step, True)
+        else:
+            numerator = tokens_in * rates[0] + tokens_out * rates[1]
+            row = LedgerRow(model_id, role, tokens_in, tokens_out, numerator, table.denominator, step)
         self.rows.append(row)
         return row
 
     def total_usd(self) -> Fraction:
-        # one Fraction: the rows' numerators over the lcm of their denominators
-        denominator = math.lcm(*(row.usd.denominator for row in self.rows))
-        return Fraction(
-            sum(row.usd.numerator * (denominator // row.usd.denominator) for row in self.rows),
-            denominator,
-        )
+        # every row is over the table's denominator, so the total is one sum
+        return Fraction(sum(row.usd_numerator for row in self.rows), self.price_table.denominator)
 
     def sorted_rows(self) -> list[LedgerRow]:
-        return sorted(self.rows, key=lambda r: (r.step, r.role, r.model_id))
+        return sorted(self.rows, key=attrgetter("step", "role", "model_id"))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["step", "role", "model_id", "tokens_in", "tokens_out", "usd", "unpriced"])
-        for row in self.sorted_rows():
+        for model_id, role, tokens_in, tokens_out, numerator, denominator, step, unpriced in self.sorted_rows():
             writer.writerow(
-                [row.step, row.role, row.model_id, row.tokens_in, row.tokens_out,
-                 f"{float(row.usd):.10f}", int(row.unpriced)]
+                [step, role, model_id, tokens_in, tokens_out, f"{numerator / denominator:.10f}", int(unpriced)]
             )
         return buf.getvalue()
 
@@ -155,15 +186,16 @@ class CostLedger:
             "total_usd": float(self.total_usd()),
             "rows": [
                 {
-                    "step": row.step,
-                    "role": row.role,
-                    "model_id": row.model_id,
-                    "tokens_in": row.tokens_in,
-                    "tokens_out": row.tokens_out,
-                    "usd": float(row.usd),
-                    "unpriced": row.unpriced,
+                    "step": step,
+                    "role": role,
+                    "model_id": model_id,
+                    "tokens_in": tokens_in,
+                    "tokens_out": tokens_out,
+                    "usd": numerator / denominator,
+                    "unpriced": unpriced,
                 }
-                for row in self.sorted_rows()
+                for model_id, role, tokens_in, tokens_out, numerator, denominator, step, unpriced
+                in self.sorted_rows()
             ],
         }
 

@@ -64,7 +64,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Mapping, Protocol, Sequence
+from typing import Any, Mapping, NamedTuple, Protocol, Sequence
 
 from . import prompts
 from .accounting import (
@@ -183,16 +183,24 @@ def parse_plan_text(text: str, roster: Sequence[str]) -> dict[str, tuple[Directi
     return {a: tuple(collected.get(a, ["idle"])) for a in roster}
 
 
-@dataclass(frozen=True)
-class PolicyQuery:
+class PolicyQuery(NamedTuple):
+    """What a policy is asked: the observation, for whom, and the agent's plan items.
+
+    ``agent_id`` is ``"__central__"`` for the orchestrator's joint query;
+    ``directives`` is ``None`` outside planner mode. Read-only, as a tuple.
+    """
+
     observation: str
     agent_id: str
     directives: tuple[Directive, ...] | None = None
 
 
-@dataclass(frozen=True)
-class PolicyResponse:
-    """Raw policy output; token counts are None for unbilled (scripted) calls."""
+class PolicyResponse(NamedTuple):
+    """Raw policy output, read-only as a tuple.
+
+    Token counts are the provider's usage for a billed model call, and
+    ``None`` for an unbilled (scripted) answer.
+    """
 
     text: str
     tokens_in: int | None = None
@@ -537,7 +545,7 @@ def run_episode(
         # each agent's parsed action, or the reason it noops this step
         decided: dict[str, KitchenAction | str] = {}
         if mode is ControllerMode.ORCHESTRATOR:
-            query = PolicyQuery(observation=observation, agent_id="__central__")
+            query = PolicyQuery(observation, "__central__")
             response = _call_policy(central, query, state)
             policy_calls["orchestrator"] += 1
             if isinstance(response, str):
@@ -551,7 +559,7 @@ def run_episode(
         else:
             for agent_id in roster:
                 directives = None if plan is None else plan.directives[agent_id]
-                query = PolicyQuery(observation=observation, agent_id=agent_id, directives=directives)
+                query = PolicyQuery(observation, agent_id, directives)
                 response = _call_policy(workers[agent_id], query, state)
                 if isinstance(response, str):
                     decided[agent_id] = response

@@ -21,7 +21,7 @@ import os
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 
 class GatewayError(Exception):
@@ -37,7 +37,7 @@ class RetriesExhausted(GatewayError):
 
 
 class MalformedResponse(GatewayError):
-    """The provider response lacks text or usage fields."""
+    """The provider response lacks text or usage fields, or reports a bad token count."""
 
 
 class ScriptExhausted(GatewayError):
@@ -61,8 +61,9 @@ class ModelBinding:
             raise ValueError("max_retries must be >= 0")
 
 
-@dataclass(frozen=True)
-class CompletionResult:
+class CompletionResult(NamedTuple):
+    """One reply: its text and reported usage, seconds since the first send, and the attempt that got it."""
+
     text: str
     tokens_in: int
     tokens_out: int
@@ -92,7 +93,11 @@ def build_request_body(binding: ModelBinding, messages: Sequence[Message]) -> by
 
 
 def normalize_response(payload: Mapping[str, Any]) -> tuple[str, int, int]:
-    """Extract (text, tokens_in, tokens_out) from provider response variants."""
+    """Extract (text, tokens_in, tokens_out) from provider response variants.
+
+    Token counts must be ints >= 0; a bool or a negative count is
+    :class:`MalformedResponse`, like a missing one.
+    """
     text: Any = payload.get("text")
     if text is None:
         choices = payload.get("choices")
@@ -107,12 +112,18 @@ def normalize_response(payload: Mapping[str, Any]) -> tuple[str, int, int]:
         raise MalformedResponse("response carries no text field")
 
     usage = payload.get("usage")
-    if not isinstance(usage, Mapping):
+    # a JSON reply's usage is a dict; the isinstance check against the Mapping ABC is slow
+    if type(usage) is not dict and not isinstance(usage, Mapping):
         raise MalformedResponse("response carries no usage field")
     tokens_in = usage.get("input_tokens", usage.get("prompt_tokens"))
     tokens_out = usage.get("output_tokens", usage.get("completion_tokens"))
-    if not isinstance(tokens_in, int) or not isinstance(tokens_out, int):
+    if (
+        not isinstance(tokens_in, int) or not isinstance(tokens_out, int)
+        or type(tokens_in) is bool or type(tokens_out) is bool
+    ):
         raise MalformedResponse("usage lacks integer token counts")
+    if tokens_in < 0 or tokens_out < 0:
+        raise MalformedResponse(f"usage reports a negative token count: {tokens_in}, {tokens_out}")
     return text, tokens_in, tokens_out
 
 
@@ -241,13 +252,7 @@ def complete(
                 sleep(min(0.05 * 2 ** (attempt - 1), 2.0))
             continue
         text, tokens_in, tokens_out = normalize_response(payload)
-        return CompletionResult(
-            text=text,
-            tokens_in=tokens_in,
-            tokens_out=tokens_out,
-            latency=time.monotonic() - start,
-            attempt=attempt,
-        )
+        return CompletionResult(text, tokens_in, tokens_out, time.monotonic() - start, attempt)
     raise RetriesExhausted(
         f"gave up after {binding.max_retries + 1} attempts: {last_error}"
     ) from last_error

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import warnings
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from typing import Any
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from allocsim.accounting import (
     CapabilityProfile,
     CostLedger,
-    LedgerRow,
     PriceTable,
     capability_hint,
     default_price_table,
@@ -70,6 +74,15 @@ class TestLedger:
         for step in range(37):
             ledger.record_call("gpt-4o", "orchestrator", 123 + step, 45 + step, step=step)
         assert ledger.total_usd() == sum((r.usd for r in ledger.rows), Fraction(0))
+
+    def test_costs_read_back_as_exact_fractions(self):
+        ledger = CostLedger()
+        assert type(ledger.total_usd()) is Fraction and ledger.total_usd() == 0
+        priced = ledger.record_call("gpt-4o", "planner", 1_000, 10, step=0)
+        with pytest.warns(UserWarning):
+            unpriced = ledger.record_call("martian-1", "worker:agent0", 10, 10, step=1)
+        assert type(priced.usd) is type(unpriced.usd) is type(ledger.total_usd()) is Fraction
+        assert priced.usd == ledger.total_usd() == Fraction(13, 5_000)  # 2,500 + 100 micro-dollars
 
     def test_csv_shape(self):
         ledger = CostLedger()
@@ -187,38 +200,106 @@ def reference_usd_for(table: PriceTable, model_id: str, tokens_in: int, tokens_o
     ) / 1_000_000
 
 
-class ReferenceLedger(CostLedger):
+@dataclass(frozen=True)
+class ReferenceRow:
+    model_id: str
+    role: str
+    tokens_in: int
+    tokens_out: int
+    usd: Fraction
+    step: int
+    unpriced: bool
+
+
+class ReferenceLedger:
+    """The ledger before its integer form: a Fraction per row, written through ``float(Fraction)``."""
+
+    def __init__(self, table: PriceTable):
+        self.table = table
+        self.rows: list[ReferenceRow] = []
+
+    def record_call(self, model_id: str, role: str, tokens_in: int, tokens_out: int, step: int) -> None:
+        if model_id in self.table:
+            usd, unpriced = reference_usd_for(self.table, model_id, tokens_in, tokens_out), False
+        else:
+            usd, unpriced = Fraction(0), True
+        self.rows.append(ReferenceRow(model_id, role, tokens_in, tokens_out, usd, step, unpriced))
+
     def total_usd(self) -> Fraction:
         return sum((row.usd for row in self.rows), Fraction(0))
 
+    def sorted_rows(self) -> list[ReferenceRow]:
+        return sorted(self.rows, key=lambda r: (r.step, r.role, r.model_id))
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["step", "role", "model_id", "tokens_in", "tokens_out", "usd", "unpriced"])
+        for row in self.sorted_rows():
+            writer.writerow(
+                [row.step, row.role, row.model_id, row.tokens_in, row.tokens_out,
+                 f"{float(row.usd):.10f}", int(row.unpriced)]
+            )
+        return buf.getvalue()
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return {
+            "total_usd": float(self.total_usd()),
+            "rows": [
+                {
+                    "step": row.step,
+                    "role": row.role,
+                    "model_id": row.model_id,
+                    "tokens_in": row.tokens_in,
+                    "tokens_out": row.tokens_out,
+                    "usd": float(row.usd),
+                    "unpriced": row.unpriced,
+                }
+                for row in self.sorted_rows()
+            ],
+        }
+
 
 _DECIMALS = st.decimals(min_value=Decimal("0.0001"), max_value=Decimal("100"), places=4)
+_PRIMES = (3, 7, 11, 13, 101, 997, 7919, 999_983)
 PRICES = st.one_of(
     _DECIMALS.map(str),
     _DECIMALS,
     st.floats(min_value=1e-4, max_value=100, allow_nan=False, allow_infinity=False),
     st.integers(min_value=1, max_value=100),
     st.fractions(min_value=Fraction(1, 10**6), max_value=100, max_denominator=10**6),
+    # prime denominators are pairwise coprime, so the table's common denominator grows large
+    st.builds(Fraction, st.integers(1, 10**6), st.sampled_from(_PRIMES)),
 )
-TOKENS = st.integers(min_value=0, max_value=10**7)
+# up to 10**12 tokens, so a row's numerator passes 2**53 and its float is rounded
+TOKENS = st.integers(min_value=0, max_value=10**12)
 
 
 class TestLedgerOracle:
     @given(
         prices=st.lists(st.tuples(PRICES, PRICES), min_size=1, max_size=5),
-        calls=st.lists(st.tuples(st.integers(0, 4), TOKENS, TOKENS, st.integers(0, 59)), max_size=30),
+        # model ids m0..m6: the ones past the table's last model are unpriced
+        calls=st.lists(st.tuples(st.integers(0, 6), TOKENS, TOKENS, st.integers(0, 59)), max_size=30),
         completed=st.integers(0, 9),
     )
-    @settings(max_examples=60, deadline=None)
+    @example(
+        prices=[(Fraction(1, 7), Fraction(3, 11)), ("2.50", Fraction(10, 999_983))],
+        calls=[(0, 10**12, 10**12 - 1, 3), (1, 999_999_999_999, 7, 3), (5, 10, 10, 0)],
+        completed=9,
+    )
+    @settings(max_examples=100, deadline=None)
     def test_matches_fraction_by_fraction_arithmetic(self, prices, calls, completed):
         table = PriceTable.from_entries({f"m{i}": pair for i, pair in enumerate(prices)})
         ledger, reference = CostLedger(table), ReferenceLedger(table)
         for index, tokens_in, tokens_out, step in calls:
-            model_id = f"m{index % len(prices)}"
-            row = ledger.record_call(model_id, "worker:agent0", tokens_in, tokens_out, step)
-            usd = reference_usd_for(table, model_id, tokens_in, tokens_out)
-            assert type(row.usd) is Fraction and row.usd == usd
-            reference.rows.append(LedgerRow(model_id, "worker:agent0", tokens_in, tokens_out, usd, step))
+            model_id = f"m{index}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                row = ledger.record_call(model_id, "worker:agent0", tokens_in, tokens_out, step)
+            reference.record_call(model_id, "worker:agent0", tokens_in, tokens_out, step)
+            expected_row = reference.rows[-1]
+            assert type(row.usd) is Fraction and row.usd == expected_row.usd
+            assert row.unpriced == expected_row.unpriced == (index >= len(prices))
 
         total = ledger.total_usd()
         assert type(total) is Fraction and total == reference.total_usd()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import inspect
 import tracemalloc
 
 import pytest
@@ -11,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allocsim import coordination, kitchen
+from allocsim.accounting import CostLedger, LedgerRow
 from allocsim.coordination import (
     ControllerMode,
     Plan,
+    PolicyQuery,
+    PolicyResponse,
     format_event,
     parse_action,
     parse_joint_actions,
@@ -21,7 +25,14 @@ from allocsim.coordination import (
     planner_replan,
     run_episode,
 )
-from allocsim.gateway import GatewayError, HttpTransport, MockEntry, ModelBinding, install_mock
+from allocsim.gateway import (
+    CompletionResult,
+    GatewayError,
+    HttpTransport,
+    MockEntry,
+    ModelBinding,
+    install_mock,
+)
 from allocsim.kitchen import (
     EventKind,
     Get,
@@ -325,6 +336,33 @@ class TestRunEpisode:
         # billed rows only for the 9 well-formed responses
         assert len(report.ledger.rows) == 9
 
+    @pytest.mark.parametrize("counts", [{"tokens_in": -5}, {"tokens_out": -1}, {"tokens_in": True}])
+    def test_bad_usage_from_a_worker_is_a_fallback(self, counts, level_1):
+        script = [{"text": "noop(agent0)", "tokens_in": 50, "tokens_out": 5, **counts}]
+        script += [{"text": "noop(agent0)", "tokens_in": 50 + i, "tokens_out": 5} for i in range(3)]
+        worker = GatewayWorker(ModelBinding(model_id="gpt-4o-mini"), install_mock(script))
+        report = run_episode(
+            ControllerMode.INDIVIDUAL, load_level(level_1, 1, seed=0), workers={"agent0": worker}, budget=4
+        )
+        assert report.steps == 4
+        assert [(f.step, f.reason.split(":")[0]) for f in report.fallbacks] == [(0, "MalformedResponse")]
+        assert [(r.step, r.tokens_in) for r in report.ledger.rows] == [(1, 50), (2, 51), (3, 52)]
+
+    @pytest.mark.parametrize("counts", [{"tokens_in": -5}, {"tokens_out": -1}, {"tokens_in": True}])
+    def test_bad_usage_from_a_planner_keeps_the_prior_plan(self, counts, level_1):
+        plan = "agent0: cook step 0 of salmonMeatcake (order 0) at blender0\nagent1: idle"
+        script = [{"text": plan, "tokens_in": 300, "tokens_out": 20, **counts}]
+        script += [{"text": plan, "tokens_in": 300, "tokens_out": 20}] * 60
+        state = load_level(level_1, 2, seed=0)
+        report = run_episode(
+            ControllerMode.PLANNER, state, workers={a: ScriptedWorker() for a in state.agent_ids()},
+            planner=GatewayPlanner(ModelBinding(model_id="gpt-4o"), install_mock(script)), budget=12,
+        )
+        assert report.steps == 12 and report.planner_invocations >= 2
+        assert report.replan_failures == 1
+        assert [r.role for r in report.ledger.rows] == ["planner"] * (report.planner_invocations - 1)
+        assert report.ledger.rows[0].step > 0
+
     def test_retries_exhausted_becomes_noop_fallback(self, level_1):
         transport = install_mock([MockEntry(fail_transient=True)] * 3 +
                                  [MockEntry(text="noop(agent0)", tokens_in=1, tokens_out=1)])
@@ -542,6 +580,41 @@ class TestParseOnce:
         run_episode(ControllerMode.ORCHESTRATOR, state, central=_TextLog(ScriptedOrchestrator(), texts), budget=60)
 
         assert len(texts) == 60 and len(parsed) == len(set(parsed)) == len(set(texts)) < 60
+
+
+# each record a model call builds, with its constructor's fields and defaults
+_NO_DEFAULT = inspect.Parameter.empty
+CALL_RECORDS = {
+    PolicyQuery: {"observation": _NO_DEFAULT, "agent_id": _NO_DEFAULT, "directives": None},
+    PolicyResponse: {"text": _NO_DEFAULT, "tokens_in": None, "tokens_out": None},
+    CompletionResult: dict.fromkeys(["text", "tokens_in", "tokens_out", "latency", "attempt"], _NO_DEFAULT),
+    LedgerRow: {
+        **dict.fromkeys(["model_id", "role", "tokens_in", "tokens_out", "usd_numerator",
+                         "usd_denominator", "step"], _NO_DEFAULT),
+        "unpriced": False,
+    },
+}
+
+
+class TestCallRecords:
+    def test_fields_and_defaults(self):
+        for record, fields in CALL_RECORDS.items():
+            params = inspect.signature(record).parameters
+            assert {name: p.default for name, p in params.items()} == fields, record
+
+    @pytest.mark.parametrize("record", [
+        PolicyQuery("obs", "agent0", ("idle",)),
+        PolicyResponse("noop(agent0)", 10, 2),
+        CompletionResult("noop(agent0)", 10, 2, 0.25, 1),
+        CostLedger().record_call("gpt-4o", "planner", 10, 2, 0),
+    ], ids=lambda record: type(record).__name__)
+    def test_fields_cannot_be_assigned(self, record):
+        names = [*CALL_RECORDS[type(record)], *(["usd"] if isinstance(record, LedgerRow) else [])]
+        for name in names:
+            value = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+            assert getattr(record, name) == value
 
 
 class TestRetainedTrace:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import types
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -62,6 +63,13 @@ class TestComplete:
         with pytest.raises(RetriesExhausted):
             complete(binding, MESSAGES, transport=transport, sleep=no_sleep)
         assert len(transport.requests) == 3  # 1 + 2 retries consumed
+
+    @pytest.mark.parametrize("counts", [{"tokens_in": -5}, {"tokens_out": -1}, {"tokens_in": True}])
+    def test_bad_token_count_is_malformed(self, counts):
+        transport = install_mock([{"text": "noop(agent0)", "tokens_in": 3, "tokens_out": 2, **counts}])
+        with pytest.raises(MalformedResponse):
+            complete(BINDING, MESSAGES, transport=transport, sleep=no_sleep)
+        assert len(transport.requests) == 1  # no retry on malformed
 
     def test_malformed_response_surfaces_immediately(self):
         transport = install_mock([MockEntry(malformed=True), MockEntry(text="never")])
@@ -142,6 +150,23 @@ class TestRequestBodies:
     def test_missing_usage_is_malformed(self):
         with pytest.raises(MalformedResponse):
             normalize_response({"text": "no usage"})
+
+    def test_usage_may_be_any_mapping(self):
+        usage = types.MappingProxyType({"input_tokens": 3, "output_tokens": 0})
+        assert normalize_response({"text": "hi", "usage": usage}) == ("hi", 3, 0)
+
+    @pytest.mark.parametrize("usage", [
+        {"input_tokens": -5, "output_tokens": 3},
+        {"prompt_tokens": 5, "completion_tokens": -1},
+        {"input_tokens": True, "output_tokens": 3},
+        {"input_tokens": 5, "output_tokens": False},
+        {"input_tokens": 5.0, "output_tokens": 3},
+        {"input_tokens": 5},
+        ["input_tokens", 5],
+    ])
+    def test_bad_token_counts_are_malformed(self, usage):
+        with pytest.raises(MalformedResponse):
+            normalize_response({"text": "hi", "usage": usage})
 
 
 class _Endpoint(BaseHTTPRequestHandler):
