@@ -14,6 +14,7 @@ import json
 import pytest
 
 from allocsim.cli import main
+from allocsim.levels import get_level
 
 from conftest import stretched_level
 
@@ -46,6 +47,11 @@ LONG_RUN = "3cd087c2a4d201ef64b809cdbd2464f20017494ff1a019b8c04aaa9302ad7cfb"
 MOCK_RUN = "e9856497bbeb386b4c99fd65c51f8a491a051465e7b4f424a762a64304cf264d"
 MOCK_WORKERS_RUN = "5c128ebe6e23393f6ce4d9344131c02917f53760847fdb021cd12d94dae759b2"
 MOCK_SWEEP_RUN = "c0810159e5464aed54d88baac0fc5685e8e89ca58bdbfde1ef929c1f7590949b"
+UNPRICED_RUN = "c1ddc82b90f07c1ed61759d60017c4b972195d9ce7bd2de428a252cc76a1c895"
+RENAMED_STORAGE_RUN = "d8b768c9efcf0095b54565bb8fb330a730324fa8907615de13f85908f4c0b6c1"
+# a model id without a price, holding a comma, a double quote and a non-ASCII
+# letter: its rows are $0, ledger.csv quotes it and report.json escapes it
+_ODD_MODEL = 'acme,"r\u00e9sum\u00e9"-7b'
 
 
 def _moves(agent: str, blender: str, pan: str | None) -> list[str]:
@@ -180,6 +186,31 @@ def test_capability_sweep_with_mock_planner(tmp_path, capsys, monkeypatch):
     })
     argv = ["capability-sweep", "--seed", "1", "--level", "level_1", "--budget", "40", "--config", config]
     assert run_digest(argv, tmp_path, capsys) == MOCK_SWEEP_RUN
+
+
+def test_mock_run_with_an_unpriced_odd_model_id(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    models = (_ODD_MODEL, "gpt-4o-mini", "qwen2.5-32b")
+    config = _write_config(tmp_path, {"bindings": {
+        "workers": [_mock_spec(tmp_path, f"w{i}.json", m, _worker_script(i)) for i, m in enumerate(models)],
+        "orchestrator": _mock_spec(tmp_path, "o.json", _ODD_MODEL, _joint_script()),
+        "planner": _mock_spec(tmp_path, "p.json", "claude-3.7", _plan_script(3)),
+    }})
+    argv = ["kitchen-run", "--seed", "1", "--level", "level_2", "--agents", "3", "--mode", "all",
+            "--budget", "20", "--config", config]
+    with pytest.warns(UserWarning, match="has no price"):
+        digest = run_digest(argv, tmp_path, capsys)
+    assert digest == UNPRICED_RUN
+
+
+def test_scripted_run_with_a_non_ascii_location_id(tmp_path, capsys):
+    # the trace's action texts carry the renamed storage as \u escapes
+    payload = get_level("level_1").to_json_dict()
+    payload["locations"][0]["id"] = "r\u00e9serve0"
+    level = tmp_path / "level.json"
+    level.write_text(json.dumps(payload), encoding="utf-8")
+    argv = ["kitchen-run", "--seed", "1", "--level", str(level), "--agents", "2", "--mode", "all"]
+    assert run_digest(argv, tmp_path, capsys) == RENAMED_STORAGE_RUN
 
 
 _ASSIGN_SMALL = ["--instances", "6", "--n-min", "2", "--n-max", "9", "--lo", "0", "--hi", "5"]
