@@ -12,6 +12,13 @@ float drift. Floats appear only when a report is rendered, as
 ``numerator / denominator``: CPython's int true division is correctly
 rounded, so each float equals ``float`` of the reduced ``Fraction``.
 
+The program's prices are one table, :func:`default_price_table`, built
+on first use and shared by every ledger; its mappings are read-only, so
+no ledger can change another's prices. A ledger's rows are written to
+``report.json`` and ``ledger.csv`` from one sort: each row is its
+(model, role) prefix, written once per ledger, then its own numbers
+(:meth:`CostLedger.artifacts`).
+
 Capability profiles track per-agent action success rates, which double as
 a proxy for worker model quality: parse failures, transport failures, and
 in-world action failures all count as failed attempts.
@@ -20,15 +27,19 @@ in-world action failures all count as failed attempts.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple, Sequence
 
+from .jsonout import Prewritten
 from .kitchen import ACTION_KINDS
 
 _MTOK = 1_000_000
@@ -61,7 +72,8 @@ class PriceTable:
 
     ``denominator`` is the lcm of every price's denominator times 10**6;
     ``rates[model]`` is the (input, output) dollars per token times
-    ``denominator``, both integers.
+    ``denominator``, both integers. ``prices`` and ``rates`` are read-only
+    mappings, so one table can be shared by every ledger.
     """
 
     prices: Mapping[str, ModelPrice]
@@ -69,6 +81,7 @@ class PriceTable:
     rates: Mapping[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "prices", MappingProxyType(dict(self.prices)))
         scale = math.lcm(*(
             usd.denominator
             for price in self.prices.values()
@@ -83,7 +96,7 @@ class PriceTable:
             for model, price in self.prices.items()
         }
         object.__setattr__(self, "denominator", scale * _MTOK)
-        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "rates", MappingProxyType(rates))
 
     def __contains__(self, model_id: str) -> bool:
         return model_id in self.prices
@@ -98,8 +111,12 @@ class PriceTable:
         )
 
 
+@functools.cache
 def default_price_table() -> PriceTable:
-    """Current provider prices for the model roster, USD per million tokens."""
+    """Current provider prices for the model roster, USD per million tokens.
+
+    Built on the first call; every later call returns that same read-only table.
+    """
     return PriceTable.from_entries(
         {
             "claude-3.7": ("3.00", "15.00"),
@@ -134,8 +151,14 @@ class CostLedger:
     Every row is billed over the price table's denominator, which is what
     lets :meth:`total_usd` add the rows' numerators alone.
 
-    The program always bills at :func:`default_price_table`; ``price_table``
-    lets a test price made-up models (``TestLedgerOracle``).
+    The program always bills at :func:`default_price_table`, one read-only
+    table shared by every ledger; ``price_table`` lets a test price made-up
+    models (``TestLedgerOracle``).
+
+    :meth:`to_csv` and :meth:`to_json_dict` write the rows through
+    ``csv.writer`` and plain dicts. :meth:`artifacts` gives the same two
+    texts from one sort of the rows, each row joined from its (model, role)
+    prefix, written once per ledger, and its own numbers.
     """
 
     def __init__(self, price_table: PriceTable | None = None):
@@ -181,6 +204,23 @@ class CostLedger:
             )
         return buf.getvalue()
 
+    def artifacts(self) -> tuple[dict[str, Any], str]:
+        """:meth:`to_json_dict` with its rows as one :class:`~.jsonout.Prewritten` block, and :meth:`to_csv`.
+
+        ``dumps_indented`` writes the first exactly as it writes
+        ``to_json_dict()``; the second equals ``to_csv()``.
+        """
+        rows = self.sorted_rows()
+        prefixes: dict[tuple[str, str], str] = {}
+        lines = [_CSV_HEADER]
+        for model_id, role, tokens_in, tokens_out, numerator, denominator, step, unpriced in rows:
+            prefix = prefixes.get((model_id, role))
+            if prefix is None:
+                prefix = prefixes[model_id, role] = _csv_fields(role, model_id)
+            lines.append(f"{step},{prefix},{tokens_in},{tokens_out},{numerator / denominator:.10f},{int(unpriced)}\n")
+        block = {"total_usd": float(self.total_usd()), "rows": Prewritten(functools.partial(_rows_json, rows))}
+        return block, "".join(lines)
+
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "total_usd": float(self.total_usd()),
@@ -198,6 +238,38 @@ class CostLedger:
                 in self.sorted_rows()
             ],
         }
+
+
+_CSV_HEADER = "step,role,model_id,tokens_in,tokens_out,usd,unpriced\n"
+
+
+def _csv_fields(*fields: str) -> str:
+    """The fields joined as ``csv.writer`` writes them inside a longer row, quoted where they need it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()[:-1]
+
+
+def _rows_json(rows: Sequence[LedgerRow], depth: int) -> str:
+    """``dumps_indented`` of :meth:`CostLedger.to_json_dict`'s rows, met at ``depth``."""
+    if not rows:
+        return "[]"
+    inner, outer, deeper = ("\n" + "  " * d for d in (depth + 1, depth, depth + 2))
+    sep = "," + deeper
+    prefixes: dict[tuple[str, str], str] = {}
+    written = []
+    for model_id, role, tokens_in, tokens_out, numerator, denominator, step, unpriced in rows:
+        prefix = prefixes.get((model_id, role))
+        if prefix is None:
+            prefix = prefixes[model_id, role] = (
+                f'{{{deeper}"model_id": {encode_basestring_ascii(model_id)}'
+                f'{sep}"role": {encode_basestring_ascii(role)}{sep}"step": '
+            )
+        written.append(
+            f'{prefix}{step}{sep}"tokens_in": {tokens_in}{sep}"tokens_out": {tokens_out}'
+            f'{sep}"unpriced": {"true" if unpriced else "false"}{sep}"usd": {numerator / denominator!r}{inner}}}'
+        )
+    return "[" + inner + ("," + inner).join(written) + outer + "]"
 
 
 @dataclass

@@ -31,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -332,6 +333,44 @@ def cmd_assign_eval(args: argparse.Namespace) -> int:
 # --- kitchen-run -----------------------------------------------------------------
 
 
+def _trace_text(header: Mapping[str, Any], records: Sequence[Mapping[str, Any]]) -> str:
+    """``trace.jsonl``: the header and each step record as ``dumps_compact`` writes them, one a line.
+
+    A step record has :func:`run_episode`'s shape: ``actions`` maps each
+    agent to its action text and ``results`` each agent to an ``ok`` and
+    ``reason`` object. Its line is joined from members built once per
+    distinct (agent, text) and (agent, ok, reason) in the episode.
+    """
+    quote = encode_basestring_ascii
+    actions_written: dict[tuple[str, str], str] = {}
+    results_written: dict[tuple[str, Any, Any], str] = {}
+    lines = [dumps_compact(header)]
+    for record in records:
+        actions, results, events = record["actions"], record["results"], record["events"]
+        members = []
+        for agent in sorted(actions):
+            text = actions[agent]
+            member = actions_written.get((agent, text))
+            if member is None:
+                member = actions_written[agent, text] = f"{quote(agent)}:{quote(text)}"
+            members.append(member)
+        outcomes = []
+        for agent in sorted(results):
+            result = results[agent]
+            key = (agent, result["ok"], result["reason"])
+            member = results_written.get(key)
+            if member is None:
+                member = results_written[key] = f"{quote(agent)}:{dumps_compact(result)}"
+            outcomes.append(member)
+        lines.append(
+            f'{{"actions":{{{",".join(members)}}},"events":{dumps_compact(events) if events else "[]"},'
+            f'"observation_hash":{quote(record["observation_hash"])},'
+            f'"results":{{{",".join(outcomes)}}},"step":{record["step"]}}}'
+        )
+    lines.append("")
+    return "\n".join(lines)
+
+
 def _write_episode_artifacts(
     output: Path,
     report: EpisodeReport,
@@ -349,14 +388,12 @@ def _write_episode_artifacts(
         "mode": report.mode.value,
         "budget": budget,
     }
-    with (output / "trace.jsonl").open("w", encoding="utf-8") as fh:
-        fh.write(dumps_compact(header) + "\n")
-        for record in report.trace:
-            fh.write(dumps_compact(record) + "\n")
-    payload = report.to_json_dict()
+    (output / "trace.jsonl").write_text(_trace_text(header, report.trace), encoding="utf-8")
+    ledger_json, ledger_csv = report.ledger.artifacts()
+    payload = report.to_json_dict(ledger=ledger_json)
     _dump_json(output / "report.json", payload)
     _dump_json(output / "efficiency.json", payload["efficiency"])
-    (output / "ledger.csv").write_text(report.ledger.to_csv(), encoding="utf-8")
+    (output / "ledger.csv").write_text(ledger_csv, encoding="utf-8")
 
     lines = ["action,count,fraction"]
     for kind, fraction in payload["action_histogram"].items():

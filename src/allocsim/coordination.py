@@ -54,7 +54,12 @@ after the last step, of the report's ``final_observation_hash``).
 
 Trace records are read-only: equal action results share one JSON dict
 across all records, and within one episode equal actions share one text,
-so a record costs about the same at step 900 as at step 1.
+so a record costs about the same at step 900 as at step 1. The episode
+keeps one entry per distinct action, holding the action, its text and its
+kind, and its per-text parse table returns those entries, so an agent-step
+reads its trace text and its tally kind off the entry. ``trace.jsonl`` is
+written from per-episode fragments, one per distinct (agent, text) and
+(agent, result), with the bytes ``dumps_compact`` gives each record.
 """
 
 from __future__ import annotations
@@ -385,7 +390,10 @@ class EpisodeReport:
 
     ``trace`` holds one JSON-ready record per step. The records are
     read-only: equal results share one dict across all records, and equal
-    actions one text within the episode.
+    actions one text within the episode. ``kitchen-run`` writes each as
+    ``dumps_compact`` would, from fragments built once per distinct
+    (agent, text) and (agent, result), and writes ``ledger``'s rows from
+    one sort (:meth:`CostLedger.artifacts`).
     ``efficiency`` is the episode's :class:`EfficiencyReport`, computed
     once when the episode ends from ``completed_orders``, ``ledger`` and
     ``action_counts``.
@@ -414,7 +422,12 @@ class EpisodeReport:
     def planner_invocations(self) -> int:
         return len(self.planner_prompts)
 
-    def to_json_dict(self) -> dict[str, Any]:
+    def to_json_dict(self, ledger: Mapping[str, Any] | None = None) -> dict[str, Any]:
+        """The report's JSON data; ``ledger`` stands in for ``self.ledger.to_json_dict()``.
+
+        ``report.json`` passes the first part of :meth:`CostLedger.artifacts`,
+        which ``dumps_indented`` writes to the same text.
+        """
         return {
             "mode": self.mode.value,
             "agent_count": self.agent_count,
@@ -424,7 +437,7 @@ class EpisodeReport:
             "action_counts": dict(self.action_counts),
             "action_histogram": self.efficiency.action_histogram,
             "efficiency": self.efficiency.to_json_dict(),
-            "ledger": self.ledger.to_json_dict(),
+            "ledger": self.ledger.to_json_dict() if ledger is None else ledger,
             "capability": self.capability.to_json_dict(),
             "planner_invocations": self.planner_invocations,
             "planner_prompts": list(self.planner_prompts),
@@ -443,6 +456,14 @@ _RESULT_JSON: dict[FailReason | None, dict[str, Any]] = {
     None: {"ok": True, "reason": None},
     **{reason: {"ok": False, "reason": reason.value} for reason in FailReason},
 }
+
+
+class _Chosen(NamedTuple):
+    """An action an agent takes, with its canonical text and its kind."""
+
+    action: KitchenAction
+    text: str
+    kind: str
 
 
 def _call_policy(policy: Policy, query: PolicyQuery, state: KitchenState) -> PolicyResponse | str:
@@ -499,13 +520,30 @@ def run_episode(
     planner_prompts: list[str] = []
     replan_failures = 0
     trace: list[dict[str, Any]] = []
-    # equal actions share one text, so a long trace stays small
-    action_text = functools.cache(lambda action: action.to_text())
+    # one entry per distinct action: equal actions share one text, so a
+    # long trace stays small
+    chosen: dict[KitchenAction, _Chosen] = {}
+
+    def choose(action: KitchenAction) -> _Chosen:
+        entry = chosen.get(action)
+        if entry is None:
+            entry = chosen[action] = _Chosen(action, action.to_text(), action_kind(action))
+        return entry
+
+    noops = {agent_id: choose(Noop(agent_id)) for agent_id in roster}
+
     # each distinct text is parsed once per episode; the results are only
-    # read. The lambdas look the parsers up in this module on each miss,
-    # where bench/tracer.py wraps them.
-    parse = functools.cache(lambda text: parse_action(text, roster, location_ids))
-    parse_joint = functools.cache(lambda text: parse_joint_actions(text, roster, location_ids))
+    # read. These look the parsers up in this module on each miss, where
+    # bench/tracer.py wraps them.
+    @functools.cache
+    def parse(text: str) -> _Chosen | None:
+        action = parse_action(text, roster, location_ids)
+        return None if action is None else choose(action)
+
+    @functools.cache
+    def parse_joint(text: str) -> dict[str, _Chosen | None]:
+        joint = parse_joint_actions(text, roster, location_ids)
+        return {agent_id: None if action is None else choose(action) for agent_id, action in joint.items()}
 
     remaining = state.config.max_steps - state.step
     total_steps = remaining if budget is None else min(budget, remaining)
@@ -543,7 +581,7 @@ def run_episode(
 
     for _ in range(total_steps):
         # each agent's parsed action, or the reason it noops this step
-        decided: dict[str, KitchenAction | str] = {}
+        decided: dict[str, _Chosen | str] = {}
         if mode is ControllerMode.ORCHESTRATOR:
             query = PolicyQuery(observation, "__central__")
             response = _call_policy(central, query, state)
@@ -554,8 +592,8 @@ def run_episode(
                 record_billing(response, central.model_id, "orchestrator", state.step)
                 joint = parse_joint(response.text)
                 for agent_id in roster:
-                    action = joint.get(agent_id)
-                    decided[agent_id] = "unparseable joint action" if action is None else action
+                    entry = joint.get(agent_id)
+                    decided[agent_id] = "unparseable joint action" if entry is None else entry
         else:
             for agent_id in roster:
                 directives = None if plan is None else plan.directives[agent_id]
@@ -565,30 +603,30 @@ def run_episode(
                     decided[agent_id] = response
                     continue
                 record_billing(response, models[agent_id], f"worker:{agent_id}", state.step)
-                action = parse(response.text)
-                if action is None:
+                entry = parse(response.text)
+                if entry is None:
                     decided[agent_id] = "unparseable action"
-                elif action.agent != agent_id:
+                elif entry.action.agent != agent_id:
                     decided[agent_id] = "action names another agent"
                 else:
-                    decided[agent_id] = action
+                    decided[agent_id] = entry
             policy_calls["worker"] += len(roster)
 
-        actions = {a: Noop(a) if isinstance(d, str) else d for a, d in decided.items()}
+        taken = {a: noops[a] if isinstance(d, str) else d for a, d in decided.items()}
         step_index = state.step
-        outcome = kitchen_step(state, actions)
+        outcome = kitchen_step(state, {a: entry.action for a, entry in taken.items()})
         for agent_id, decision in decided.items():
             fell_back = isinstance(decision, str)
             if fell_back:
                 fallbacks.append(FallbackNote(step_index, agent_id, decision))
             ok = not fell_back and outcome.per_agent_result[agent_id] is None
-            tally[agent_id, action_kind(actions[agent_id]), ok] += 1
+            tally[agent_id, taken[agent_id].kind, ok] += 1
         observation = render_observation(state)
         events.extend(outcome.events)
         trace.append(
             {
                 "step": step_index,
-                "actions": {a: action_text(actions[a]) for a in roster},
+                "actions": {a: taken[a].text for a in roster},
                 "results": {a: _RESULT_JSON[outcome.per_agent_result[a]] for a in roster},
                 "events": [e.to_json_dict() for e in outcome.events],
                 "observation_hash": observation_text_hash(observation),

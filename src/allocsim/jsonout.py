@@ -14,6 +14,12 @@ is a list of such non-empty objects. Only the containers above them are
 walked in Python. The C encoder escapes every control character inside a
 string, so a raw newline in its output is always a separator.
 
+A :class:`Prewritten` value is not JSON data: :func:`dumps_indented`
+writes the text it returns for the depth at which it is met. It lets a
+caller that can write a large block faster than the walk (the ledger's
+rows, in :meth:`~allocsim.accounting.CostLedger.artifacts`) hand over
+that text in its place.
+
 A value ``json.dumps`` cannot write raises the same exception type here,
 except a container that holds itself: that raises ``RecursionError``
 where ``json.dumps`` raises ``ValueError``.
@@ -26,6 +32,15 @@ from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
+
+class Prewritten:
+    """A value written as ``write(depth)``: the indented text of the value it stands for at that depth."""
+
+    __slots__ = ("write",)
+
+    def __init__(self, write: Callable[[int], str]) -> None:
+        self.write = write
+
 
 dumps_compact: Callable[[Any], str] = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -75,6 +90,8 @@ def _indented(obj: Any, depth: int) -> str:
             return "[" + inner + "{" + deeper + body + inner + "}" + outer + "]"
         items = [_indented(v, depth + 1) for v in obj]
         return "[" + inner + ("," + inner).join(items) + outer + "]"
+    if type(obj) is Prewritten:
+        return obj.write(depth)
     return encode(obj)
 
 

@@ -13,6 +13,11 @@ partitions work units round-robin across agents, and scripted workers
 follow the work units among their directives, whichever planner wrote
 them. Decisions are pure functions of the state, which they only read,
 so scripted episodes replay bit-for-bit.
+
+An order's work units and tool pipeline depend only on the level and the
+order, so each scripted policy instance builds them once per order, the
+first time it sees it, in a table for the level it was last shown; a
+state of another level replaces the table.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .kitchen import (
     KitchenAction,
     KitchenEvent,
     KitchenState,
+    LevelConfig,
     Noop,
     Put,
     Recipe,
@@ -67,10 +73,41 @@ def _pipeline_tools(state: KitchenState, dish: str, ordinal: int) -> list[str]:
 
 
 def order_units(state: KitchenState, order: DishOrder) -> list[WorkUnit]:
-    tools = _pipeline_tools(state, order.dish, order.ordinal)
-    units = [WorkUnit(order.ordinal, order.dish, s, tool) for s, tool in enumerate(tools)]
-    units.append(WorkUnit(order.ordinal, order.dish, None, tools[-1]))
-    return units
+    """A cook unit per recipe step of the order, then its delivery unit."""
+    return _OrderTable(state.config).units(state, order)
+
+
+class _OrderTable:
+    """One level's orders, each with its work units and tool pipeline, built the first time it is seen.
+
+    Both depend only on the level and the order's (ordinal, dish), so a
+    policy keeps one table and replaces it when it is shown a state of
+    another level. The table holds that level's config, which compares by
+    identity, so an entry never serves a level it was not built for.
+    """
+
+    __slots__ = ("config", "_orders")
+
+    def __init__(self, config: LevelConfig):
+        self.config = config
+        self._orders: dict[tuple[int, str], tuple[list[WorkUnit], list[str]]] = {}
+
+    def _entry(self, state: KitchenState, ordinal: int, dish: str) -> tuple[list[WorkUnit], list[str]]:
+        entry = self._orders.get((ordinal, dish))
+        if entry is None:
+            tools = _pipeline_tools(state, dish, ordinal)
+            units = [WorkUnit(ordinal, dish, s, tool) for s, tool in enumerate(tools)]
+            units.append(WorkUnit(ordinal, dish, None, tools[-1]))
+            entry = self._orders[ordinal, dish] = (units, tools)
+        return entry
+
+    def units(self, state: KitchenState, order: DishOrder) -> list[WorkUnit]:
+        """``order_units(state, order)``; the list is shared, so callers only read it."""
+        return self._entry(state, order.ordinal, order.dish)[0]
+
+    def tools(self, state: KitchenState, unit: WorkUnit) -> list[str]:
+        """The tool of each recipe step of the unit's order."""
+        return self._entry(state, unit.order_ordinal, unit.dish)[1]
 
 
 def _recovery_claimant(state: KitchenState, dish: str) -> int | None:
@@ -158,18 +195,17 @@ def _goto_or(state: KitchenState, agent_id: str, loc_id: str, action: KitchenAct
 
 
 def _advance_cook_unit(
-    state: KitchenState, agent_id: str, unit: WorkUnit
+    state: KitchenState, agent_id: str, unit: WorkUnit, tools: Sequence[str]
 ) -> KitchenAction | None:
     """Next action toward cooking one recipe step, or None if nothing to do.
 
     The tool's contents are read against the step's inputs item by item.
     Both hold only counts >= 1 (a recipe input is validated so, and a tool
     drops an item whose count reaches 0), so equal items and counts are an
-    exact match.
+    exact match. ``tools`` is the order's tool pipeline.
     """
     assert unit.step_index is not None
     recipe = state.config.recipe_for(unit.dish)
-    tools = _pipeline_tools(state, unit.dish, unit.order_ordinal)
     if _downstream_done(state, agent_id, unit, recipe, tools):
         return None
     tool = state.locations[unit.tool_id]
@@ -232,14 +268,17 @@ def _advance_deliver_unit(
 def advance_unit(state: KitchenState, agent_id: str, unit: WorkUnit) -> KitchenAction | None:
     if unit.step_index is None:
         return _advance_deliver_unit(state, agent_id, unit)
-    return _advance_cook_unit(state, agent_id, unit)
+    return _advance_cook_unit(state, agent_id, unit, _pipeline_tools(state, unit.dish, unit.order_ordinal))
 
 
 def _act_on_units(
-    state: KitchenState, agent_id: str, units: Sequence[WorkUnit]
+    state: KitchenState, agent_id: str, units: Sequence[WorkUnit], table: _OrderTable
 ) -> KitchenAction:
     for unit in units:
-        action = advance_unit(state, agent_id, unit)
+        if unit.step_index is None:
+            action = _advance_deliver_unit(state, agent_id, unit)
+        else:
+            action = _advance_cook_unit(state, agent_id, unit, table.tools(state, unit))
         if action is not None:
             return action
     if state.agents[agent_id].holding is not None:
@@ -247,14 +286,18 @@ def _act_on_units(
     return Noop(agent_id)
 
 
-def scripted_individual_action(state: KitchenState, agent_id: str) -> KitchenAction:
-    """Self-assigned action: this agent owns orders by ordinal round-robin."""
+def _self_assigned_action(state: KitchenState, agent_id: str, table: _OrderTable) -> KitchenAction:
     roster = state.agent_ids()
     index = roster.index(agent_id)
     owned = [order for order in state.orders if order.ordinal % len(roster) == index]
     owned.sort(key=order_urgency)
-    units = [unit for order in owned for unit in order_units(state, order)]
-    return _act_on_units(state, agent_id, units)
+    units = [unit for order in owned for unit in table.units(state, order)]
+    return _act_on_units(state, agent_id, units, table)
+
+
+def scripted_individual_action(state: KitchenState, agent_id: str) -> KitchenAction:
+    """Self-assigned action: this agent owns orders by ordinal round-robin."""
+    return _self_assigned_action(state, agent_id, _OrderTable(state.config))
 
 
 def _units_from_directives(
@@ -277,17 +320,30 @@ def _units_from_directives(
     ]
 
 
-class ScriptedWorker:
-    """Deterministic worker: follows its directives, or self-assigns."""
+class _Scripted:
+    """A scripted policy: it keeps the :class:`_OrderTable` of the last level it was shown."""
 
     model_id = SCRIPTED_MODEL_ID
+    # a class default, so a subclass whose __init__ skips this class's still works
+    _orders: _OrderTable | None = None
+
+    def _table(self, state: KitchenState) -> _OrderTable:
+        table = self._orders
+        if table is None or table.config is not state.config:
+            table = self._orders = _OrderTable(state.config)
+        return table
+
+
+class ScriptedWorker(_Scripted):
+    """Deterministic worker: follows its directives, or self-assigns."""
 
     def respond(self, query: PolicyQuery, state: KitchenState) -> PolicyResponse:
+        table = self._table(state)
         if query.directives is not None:
             units = _units_from_directives(state, query.directives)
-            action = _act_on_units(state, query.agent_id, units)
+            action = _act_on_units(state, query.agent_id, units, table)
         else:
-            action = scripted_individual_action(state, query.agent_id)
+            action = _self_assigned_action(state, query.agent_id, table)
         return PolicyResponse(text=action.to_text())
 
 
@@ -305,23 +361,20 @@ class RecordedWorker:
         return PolicyResponse(text=f"noop({query.agent_id})")
 
 
-class ScriptedOrchestrator:
+class ScriptedOrchestrator(_Scripted):
     """Central variant: emits one self-assigned action line per agent."""
 
-    model_id = SCRIPTED_MODEL_ID
-
     def respond(self, query: PolicyQuery, state: KitchenState) -> PolicyResponse:
+        table = self._table(state)
         lines = [
-            scripted_individual_action(state, agent_id).to_text()
+            _self_assigned_action(state, agent_id, table).to_text()
             for agent_id in state.agent_ids()
         ]
         return PolicyResponse(text="\n".join(lines))
 
 
-class ScriptedPlanner:
+class ScriptedPlanner(_Scripted):
     """Greedy plan: EDF orders expanded to units, dealt round-robin."""
-
-    model_id = SCRIPTED_MODEL_ID
 
     def plan(
         self,
@@ -332,10 +385,11 @@ class ScriptedPlanner:
         events: Sequence[KitchenEvent],
     ) -> tuple[Plan | None, PolicyResponse]:
         agents = sorted(roster)
+        table = self._table(state)
         units = [
             unit
             for order in sorted(state.orders, key=order_urgency)
-            for unit in order_units(state, order)
+            for unit in table.units(state, order)
         ]
         directives: dict[str, list[Directive]] = {a: [] for a in agents}
         for i, unit in enumerate(units):

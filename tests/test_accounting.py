@@ -23,6 +23,7 @@ from allocsim.accounting import (
     default_price_table,
     efficiency,
 )
+from allocsim.jsonout import dumps_indented
 
 
 class TestPrices:
@@ -35,6 +36,18 @@ class TestPrices:
         table = default_price_table()
         assert table.prices["gpt-4o"].input_usd_per_mtok == Fraction(5, 2)
         assert table.prices["gpt-4o-mini"].output_usd_per_mtok == Fraction(3, 5)
+
+    def test_default_table_is_built_once_and_read_only(self):
+        first, second = CostLedger(), CostLedger()
+        assert first.price_table is second.price_table is default_price_table()
+        table = first.price_table
+        with pytest.raises(TypeError):
+            table.prices["gpt-4o"] = table.prices["claude-3.7"]
+        with pytest.raises(TypeError):
+            table.rates["gpt-4o"] = (0, 0)
+        with pytest.raises(TypeError):
+            del table.rates["gpt-4o"]
+        assert table.rates["gpt-4o"] == (5 * table.denominator // (2 * 10**6), 10 * table.denominator // 10**6)
 
     def test_nonpositive_prices_rejected(self):
         with pytest.raises(ValueError):
@@ -309,3 +322,49 @@ class TestLedgerOracle:
         assert json.dumps(report.to_json_dict()) == json.dumps(expected.to_json_dict())
         assert ledger.to_csv() == reference.to_csv()
         assert json.dumps(ledger.to_json_dict()) == json.dumps(reference.to_json_dict())
+
+
+# model ids and roles that csv.writer must quote or JSON must escape
+_ODD_NAMES = st.one_of(
+    st.sampled_from(["", "a,b", 'say "hi"', "line\nbreak", "cr\rlf", "back\\slash", "résumé", "\U0001f373"]),
+    st.text(max_size=12),
+)
+
+
+class TestLedgerWriters:
+    """``CostLedger.artifacts`` writes what ``to_json_dict`` and ``to_csv`` (``csv.writer``) write."""
+
+    @given(
+        prices=st.lists(st.tuples(PRICES, PRICES), min_size=1, max_size=5),
+        names=st.lists(_ODD_NAMES, min_size=1, max_size=4),
+        # indices past the priced models' count are unpriced
+        calls=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3), TOKENS, TOKENS, st.integers(0, 59)),
+                       max_size=30),
+        depth=st.integers(0, 3),
+    )
+    @example(prices=[(Fraction(1, 7), Fraction(3, 11))], names=['acme,"résumé"'],
+             calls=[(0, 0, 10**12, 7, 3), (1, 0, 5, 5, 3), (0, 0, 0, 0, 0)], depth=1)
+    @example(prices=[("2.50", "10")], names=["m"], calls=[], depth=0)
+    @settings(max_examples=150, deadline=None)
+    def test_artifacts_match_the_plain_writers(self, prices, names, calls, depth):
+        models = [names[i % len(names)] + "," * i for i in range(7)]  # seven distinct ids
+        table = PriceTable.from_entries({models[i]: pair for i, pair in enumerate(prices)})
+        ledger, reference = CostLedger(table), ReferenceLedger(table)
+        for model, role, tokens_in, tokens_out, step in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                ledger.record_call(models[model], names[role % len(names)], tokens_in, tokens_out, step)
+            reference.record_call(models[model], names[role % len(names)], tokens_in, tokens_out, step)
+
+        block, csv_text = ledger.artifacts()
+        assert csv_text == ledger.to_csv() == reference.to_csv()
+
+        def nest(value):
+            for _ in range(depth):
+                value = {"ledger": value, "steps": 1}
+            return value
+
+        plain = ledger.to_json_dict()
+        assert dumps_indented(nest(block)) == dumps_indented(nest(plain)) == json.dumps(
+            nest(reference.to_json_dict()), indent=2, sort_keys=True)
+        assert dumps_indented([block, nest(block)]) == dumps_indented([plain, nest(plain)])

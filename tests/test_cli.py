@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allocsim import assignment as asg
-from allocsim import coordination
+from allocsim import cli, coordination
 from allocsim.assignment import brute_force_solve, generate_instance
 from allocsim.cli import build_parser, main
 from allocsim.coordination import parse_action
-from allocsim.kitchen import EpisodeOver, LevelConfig, Noop, load_level, observation_hash
+from allocsim.jsonout import dumps_compact
+from allocsim.kitchen import EpisodeOver, EventKind, KitchenEvent, LevelConfig, Noop, load_level, observation_hash
 from allocsim.kitchen import step as kitchen_step
 from allocsim.levels import get_level
 from allocsim.seeding import derive_seed
@@ -204,6 +205,55 @@ class TestKitchenRun:
         assert main(["kitchen-run", "--seed", "5", "--level", "level_1", "--agents", "2",
                      "--mode", "orchestrator", "--config", str(config),
                      "--output", str(tmp_path / "kr")]) == 0
+
+
+# action texts and dishes with quotes, backslashes, control and non-ASCII characters
+_ODD_TEXT = st.text(st.one_of(st.sampled_from('"\\\n\x00\u00e9\u2014\U0001f373'), st.characters()), max_size=24)
+_RESULTS = list(coordination._RESULT_JSON.values())
+_EVENTS = st.builds(KitchenEvent, st.sampled_from(EventKind), _ODD_TEXT, st.integers(0, 10**6)).map(
+    KitchenEvent.to_json_dict)
+
+
+@st.composite
+def step_records(draw):
+    """Step records of run_episode's shape for 1-6 agents, in any key order,
+    their action texts drawn from a small pool so that texts repeat."""
+    agents = [f"agent{i}" for i in range(draw(st.integers(1, 6)))]
+    texts = draw(st.lists(_ODD_TEXT, min_size=1, max_size=4))
+    records = []
+    for step in range(draw(st.integers(0, 6))):
+        actions = {a: draw(st.sampled_from(texts)) for a in draw(st.permutations(agents))}
+        results = {a: draw(st.sampled_from(_RESULTS)) for a in draw(st.permutations(agents))}
+        records.append({
+            "step": step * draw(st.integers(1, 10**6)),
+            "actions": actions,
+            "results": results,
+            "events": draw(st.lists(_EVENTS, max_size=3)),
+            "observation_hash": draw(st.one_of(st.text("0123456789abcdef", min_size=64, max_size=64), _ODD_TEXT)),
+        })
+    return records
+
+
+class TestTraceText:
+    """``trace.jsonl`` from per-episode fragments is ``dumps_compact`` of each record, byte for byte."""
+
+    @given(records=step_records(), level_id=_ODD_TEXT)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dumps_compact(self, records, level_id):
+        header = {"kind": "trace_header", "level": {"level_id": level_id}, "seed": 1, "budget": None}
+        expected = "".join(dumps_compact(line) + "\n" for line in [header, *records])
+        assert cli._trace_text(header, records) == expected
+
+    def test_every_result_and_event_kind(self):
+        records = [
+            {"step": i, "actions": {"agent1": "noop(agent1)", "agent0": 'get(agent0, r\u00e9serve0, "x\\")'},
+             "results": {"agent0": result, "agent1": _RESULTS[-1 - i]},
+             "events": [KitchenEvent(kind, "dish", i).to_json_dict() for kind in list(EventKind)[:i % 4]],
+             "observation_hash": "ab" * 32}
+            for i, result in enumerate(_RESULTS)
+        ]
+        header = {"kind": "trace_header"}
+        assert cli._trace_text(header, records) == "".join(dumps_compact(r) + "\n" for r in [header, *records])
 
 
 def _flip_first_result(record: dict) -> None:

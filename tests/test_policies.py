@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import gc
+import json
 import random
 from collections import Counter
 
@@ -12,7 +14,18 @@ from hypothesis import strategies as st
 
 from allocsim.coordination import ControllerMode, PolicyQuery, WorkUnit, run_episode
 from allocsim.gateway import MockEntry, ModelBinding, install_mock
-from allocsim.kitchen import Activate, Get, Goto, Noop, Put, load_level, observation_hash, step
+from allocsim.kitchen import (
+    Activate,
+    Get,
+    Goto,
+    LevelConfig,
+    Noop,
+    Put,
+    load_level,
+    observation_hash,
+    order_urgency,
+    step,
+)
 from allocsim.levels import BUILTIN_LEVELS, get_level
 from allocsim.policies import (
     FlakyWorker,
@@ -338,3 +351,70 @@ class TestOracleMatchesReference:
                     seen["one dish twice"] += any(n > 1 for n in dishes.values())
         assert set(seen) == {"junk in a tool", "busy tool", "full hands", "one dish twice"}
         assert all(seen.values()), seen
+
+
+class _BareWorker(ScriptedWorker):
+    def __init__(self):  # skips super().__init__(), as bench/workloads.py's planner does
+        self.calls = 0
+
+
+class _BareOrchestrator(ScriptedOrchestrator):
+    def __init__(self):
+        self.calls = 0
+
+
+class _BarePlanner(ScriptedPlanner):
+    def __init__(self):
+        self.calls = 0
+
+
+def reference_plan(state):
+    """``ScriptedPlanner.plan``'s directives, from the reference's ``order_units``."""
+    agents = sorted(state.agent_ids())
+    units = [u for o in sorted(state.orders, key=order_urgency) for u in reference.order_units(state, o)]
+    dealt = {a: tuple(units[i::len(agents)]) for i, a in enumerate(agents)}
+    return {a: ds or ("idle",) for a, ds in dealt.items()}
+
+
+def renamed_tools(seed: int, turn: int) -> LevelConfig:
+    """``random_level(seed)`` with its tool kinds and ids renamed for ``turn``: the same shape, other names."""
+    text = json.dumps(random_level(seed).to_json_dict()).replace('"tk', f'"turn{turn}tk')
+    return LevelConfig.from_json_dict(json.loads(text))
+
+
+class TestOrderTablesStayWithTheirLevel:
+    """One policy instance shown several levels in turn decides on each as the reference does.
+
+    Each level is dropped before the next is built. Levels of one shape
+    are built from objects of the same sizes, so the next one often gets
+    the freed one's ``id``; a table keyed by it would serve the new level
+    the old one's tool ids.
+    """
+
+    @given(seeds=st.lists(st.integers(0, 400), min_size=1, max_size=3), turns=st.integers(2, 3),
+           agents=st.integers(1, 4), bare=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_one_instance_of_each_policy_across_levels(self, seeds, turns, agents, bare):
+        if bare:
+            worker, orchestrator, planner = _BareWorker(), _BareOrchestrator(), _BarePlanner()
+        else:
+            worker, orchestrator, planner = ScriptedWorker(), ScriptedOrchestrator(), ScriptedPlanner()
+        for seed in seeds:
+            for turn in range(turns):
+                state = load_level(renamed_tools(seed, turn), agents, seed)
+                for _ in range(min(20, state.config.max_steps)):
+                    roster = state.agent_ids()
+                    expected = {a: reference.individual_action(state, a) for a in roster}
+                    central = orchestrator.respond(PolicyQuery("obs", "__central__"), state).text
+                    assert central == "\n".join(expected[a].to_text() for a in roster)
+                    plan, _ = planner.plan("prompt", state, roster, None, ())
+                    assert plan.directives == reference_plan(state)
+                    for agent_id in roster:
+                        alone = worker.respond(PolicyQuery("obs", agent_id), state).text
+                        assert alone == expected[agent_id].to_text()
+                        directives = plan.directives[agent_id]
+                        directed = worker.respond(PolicyQuery("obs", agent_id, directives), state).text
+                        assert directed == reference.directed_action(state, agent_id, directives).to_text()
+                    step(state, expected)
+                del state
+                gc.collect()
