@@ -334,7 +334,7 @@ def cmd_assign_eval(args: argparse.Namespace) -> int:
 
 
 def _trace_text(header: Mapping[str, Any], records: Sequence[Mapping[str, Any]]) -> str:
-    """``trace.jsonl``: the header and each step record as ``dumps_compact`` writes them, one a line.
+    """``trace.jsonl``: the header and each step record as ``dumps_compact`` writes them, one per line.
 
     A step record has :func:`run_episode`'s shape: ``actions`` maps each
     agent to its action text and ``results`` each agent to an ``ok`` and

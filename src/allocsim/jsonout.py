@@ -33,6 +33,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
+
 class Prewritten:
     """A value written as ``write(depth)``: the indented text of the value it stands for at that depth."""
 

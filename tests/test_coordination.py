@@ -43,6 +43,7 @@ from allocsim.kitchen import (
     load_level,
     observation_hash,
 )
+from allocsim.jsonout import dumps_indented
 from allocsim.levels import get_level
 from allocsim.policies import (
     FlakyWorker,
@@ -420,6 +421,9 @@ class TestRunEpisode:
         assert [(r.tokens_in, r.tokens_out) for r in rows] == [
             (100 + i, 10 + i) for i in range(5)
         ]
+        # report.json is written from the ledger's prewritten block, to the plain form's text
+        written, _ = report.ledger.artifacts()
+        assert dumps_indented(report.to_json_dict(ledger=written)) == dumps_indented(report.to_json_dict())
 
 
 def _salmon_routine(agent, blender):
