@@ -155,10 +155,8 @@ class CostLedger:
     table shared by every ledger; ``price_table`` lets a test price made-up
     models (``TestLedgerOracle``).
 
-    :meth:`to_csv` and :meth:`to_json_dict` write the rows through
-    ``csv.writer`` and plain dicts. :meth:`artifacts` gives the same two
-    texts from one sort of the rows, each row joined from its (model, role)
-    prefix, written once per ledger, and its own numbers.
+    :meth:`artifacts` is the one writer of the rows, for ``report.json``
+    and ``ledger.csv``.
     """
 
     def __init__(self, price_table: PriceTable | None = None):
@@ -194,21 +192,12 @@ class CostLedger:
     def sorted_rows(self) -> list[LedgerRow]:
         return sorted(self.rows, key=attrgetter("step", "role", "model_id"))
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["step", "role", "model_id", "tokens_in", "tokens_out", "usd", "unpriced"])
-        for model_id, role, tokens_in, tokens_out, numerator, denominator, step, unpriced in self.sorted_rows():
-            writer.writerow(
-                [step, role, model_id, tokens_in, tokens_out, f"{numerator / denominator:.10f}", int(unpriced)]
-            )
-        return buf.getvalue()
-
     def artifacts(self) -> tuple[dict[str, Any], str]:
-        """:meth:`to_json_dict` with its rows as one :class:`~.jsonout.Prewritten` block, and :meth:`to_csv`.
+        """The ``report.json`` ledger block and the ``ledger.csv`` text, from one sort of the rows.
 
-        ``dumps_indented`` writes the first exactly as it writes
-        ``to_json_dict()``; the second equals ``to_csv()``.
+        ``dumps_indented`` writes the block's :class:`~.jsonout.Prewritten` rows as ``json.dumps``
+        writes each row's dict, with a float ``usd``; the text is ``csv.writer``'s, with ``usd``
+        to ten decimals. Each row is joined from its (model, role) prefix, written once per ledger.
         """
         rows = self.sorted_rows()
         prefixes: dict[tuple[str, str], str] = {}
@@ -220,24 +209,6 @@ class CostLedger:
             lines.append(f"{step},{prefix},{tokens_in},{tokens_out},{numerator / denominator:.10f},{int(unpriced)}\n")
         block = {"total_usd": float(self.total_usd()), "rows": Prewritten(functools.partial(_rows_json, rows))}
         return block, "".join(lines)
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "total_usd": float(self.total_usd()),
-            "rows": [
-                {
-                    "step": step,
-                    "role": role,
-                    "model_id": model_id,
-                    "tokens_in": tokens_in,
-                    "tokens_out": tokens_out,
-                    "usd": numerator / denominator,
-                    "unpriced": unpriced,
-                }
-                for model_id, role, tokens_in, tokens_out, numerator, denominator, step, unpriced
-                in self.sorted_rows()
-            ],
-        }
 
 
 _CSV_HEADER = "step,role,model_id,tokens_in,tokens_out,usd,unpriced\n"
@@ -251,7 +222,7 @@ def _csv_fields(*fields: str) -> str:
 
 
 def _rows_json(rows: Sequence[LedgerRow], depth: int) -> str:
-    """``dumps_indented`` of :meth:`CostLedger.to_json_dict`'s rows, met at ``depth``."""
+    """``dumps_indented`` of the plain rows that :meth:`CostLedger.artifacts` describes, met at ``depth``."""
     if not rows:
         return "[]"
     inner, outer, deeper = ("\n" + "  " * d for d in (depth + 1, depth, depth + 2))

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
@@ -421,17 +422,31 @@ def brute_force_solve(matrix: CostMatrix) -> Assignment:
     return Assignment(mapping, matrix.cost_of(mapping))
 
 
+def _finite_number(value: Any) -> bool:
+    """An int or float, not a bool, finite as a float: not NaN, an infinity or an int past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # the int past the float range
+        return False
+
+
 def validate(matrix: CostMatrix, candidate: Candidate) -> ValidityReport:
     """Grade a candidate against the matrix; garbage yields violations.
 
     Checks the three failure classes of interest: an agent assigned to
     several tasks, tasks left without an agent, and a claimed total cost
     that does not match recomputation. Structural garbage (missing
-    mapping, wrong length, non-integer or out-of-range entries) is
-    additionally flagged as :class:`MalformedCandidate`.
+    mapping, wrong length, non-integer or out-of-range entries, a claimed
+    cost that is no finite number) is also flagged as :class:`MalformedCandidate`.
     """
     n = matrix.n
     violations: list[Violation] = []
+
+    claimed = candidate.claimed_cost
+    if claimed is not None and not _finite_number(claimed):
+        violations.append(MalformedCandidate(f"claimed cost {claimed!r} is not a finite number"))
 
     mapping = candidate.mapping
     if mapping is None:
@@ -469,10 +484,10 @@ def validate(matrix: CostMatrix, candidate: Candidate) -> ValidityReport:
     for agent, tasks in duplicate_tasks.items():
         violations.append(DuplicateAgent(agent, tuple(tasks)))
 
-    if not violations and candidate.claimed_cost is not None:
+    if not violations and claimed is not None:
         actual = matrix.cost_of([int(a) for a in mapping])
-        if abs(candidate.claimed_cost - actual) > 1e-9:
-            violations.append(FabricatedCost(candidate.claimed_cost, actual))
+        if abs(claimed - actual) > 1e-9:
+            violations.append(FabricatedCost(claimed, actual))
 
     return ValidityReport(tuple(violations))
 

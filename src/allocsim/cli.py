@@ -82,6 +82,7 @@ _FILE_TYPES: dict[str, tuple[type | tuple[type, ...], str]] = {
     "mock_file": (str, "a string"),
     "workers": ((str, list), "a string or a list"),
     "bindings": (dict, "an object"),
+    "strict_mapping": (bool, "true or false"),
 }
 
 
@@ -109,10 +110,9 @@ def _require(conf: Mapping[str, Any], key: str, kind: type, where: str) -> Any:
     value = conf.get(key)
     if value is None:
         raise ConfigError(f"{where}: missing required setting {key!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: setting {key!r} must be {kind.__name__}, got {value!r}")
+    if kind is int and type(value) is not int:  # a bool, a float or a string is refused, not coerced
+        raise ConfigError(f"{where}: setting {key!r} must be an integer, got {value!r}")
+    return kind(value)
 
 
 def _int_or(conf: Mapping[str, Any], key: str, default: int | None, where: str) -> int | None:
@@ -474,12 +474,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "trace_header":
         raise ConfigError("trace file lacks a header record")
     header, records = lines[0], lines[1:]
+    agent_count = _require(header, "agent_count", int, "trace header")
+    seed = _require(header, "seed", int, "trace header")
     try:
-        level = LevelConfig.from_json_dict(header["level"])
-        state = load_level(level, int(header["agent_count"]), int(header["seed"]))
+        state = load_level(LevelConfig.from_json_dict(header["level"]), agent_count, seed)
     except KeyError as exc:
         raise ConfigError(f"trace header lacks {exc}")
-    except (TypeError, ValueError) as exc:  # a malformed level, agent count or seed
+    except (TypeError, ValueError) as exc:  # a malformed level, or an agent count out of range
         raise ConfigError(f"trace header: {exc}")
     for number, record in enumerate(records, start=1):
         texts = record.get("actions", {}) if isinstance(record, dict) else None

@@ -422,12 +422,8 @@ class EpisodeReport:
     def planner_invocations(self) -> int:
         return len(self.planner_prompts)
 
-    def to_json_dict(self, ledger: Mapping[str, Any] | None = None) -> dict[str, Any]:
-        """The report's JSON data; ``ledger`` stands in for ``self.ledger.to_json_dict()``.
-
-        ``report.json`` passes the first part of :meth:`CostLedger.artifacts`,
-        which ``dumps_indented`` writes to the same text.
-        """
+    def to_json_dict(self, ledger: Mapping[str, Any]) -> dict[str, Any]:
+        """The report's JSON data; ``ledger`` is its ledger block, the first part of ``self.ledger.artifacts()``."""
         return {
             "mode": self.mode.value,
             "agent_count": self.agent_count,
@@ -437,7 +433,7 @@ class EpisodeReport:
             "action_counts": dict(self.action_counts),
             "action_histogram": self.efficiency.action_histogram,
             "efficiency": self.efficiency.to_json_dict(),
-            "ledger": self.ledger.to_json_dict() if ledger is None else ledger,
+            "ledger": ledger,
             "capability": self.capability.to_json_dict(),
             "planner_invocations": self.planner_invocations,
             "planner_prompts": list(self.planner_prompts),

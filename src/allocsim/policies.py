@@ -67,16 +67,6 @@ def sticky_tool(state: KitchenState, tool_kind: str, ordinal: int) -> str:
     return tools[ordinal % len(tools)]
 
 
-def _pipeline_tools(state: KitchenState, dish: str, ordinal: int) -> list[str]:
-    """The tool instance of each recipe step of an order, in step order."""
-    return [sticky_tool(state, step.tool_kind, ordinal) for step in state.config.recipe_for(dish).steps]
-
-
-def order_units(state: KitchenState, order: DishOrder) -> list[WorkUnit]:
-    """A cook unit per recipe step of the order, then its delivery unit."""
-    return _OrderTable(state.config).units(state, order)
-
-
 class _OrderTable:
     """One level's orders, each with its work units and tool pipeline, built the first time it is seen.
 
@@ -95,14 +85,14 @@ class _OrderTable:
     def _entry(self, state: KitchenState, ordinal: int, dish: str) -> tuple[list[WorkUnit], list[str]]:
         entry = self._orders.get((ordinal, dish))
         if entry is None:
-            tools = _pipeline_tools(state, dish, ordinal)
+            tools = [sticky_tool(state, step.tool_kind, ordinal) for step in state.config.recipe_for(dish).steps]
             units = [WorkUnit(ordinal, dish, s, tool) for s, tool in enumerate(tools)]
             units.append(WorkUnit(ordinal, dish, None, tools[-1]))
             entry = self._orders[ordinal, dish] = (units, tools)
         return entry
 
     def units(self, state: KitchenState, order: DishOrder) -> list[WorkUnit]:
-        """``order_units(state, order)``; the list is shared, so callers only read it."""
+        """A cook unit per recipe step of the order, then its delivery unit; callers only read the shared list."""
         return self._entry(state, order.ordinal, order.dish)[0]
 
     def tools(self, state: KitchenState, unit: WorkUnit) -> list[str]:
@@ -265,12 +255,6 @@ def _advance_deliver_unit(
     return None
 
 
-def advance_unit(state: KitchenState, agent_id: str, unit: WorkUnit) -> KitchenAction | None:
-    if unit.step_index is None:
-        return _advance_deliver_unit(state, agent_id, unit)
-    return _advance_cook_unit(state, agent_id, unit, _pipeline_tools(state, unit.dish, unit.order_ordinal))
-
-
 def _act_on_units(
     state: KitchenState, agent_id: str, units: Sequence[WorkUnit], table: _OrderTable
 ) -> KitchenAction:
@@ -286,18 +270,13 @@ def _act_on_units(
     return Noop(agent_id)
 
 
-def _self_assigned_action(state: KitchenState, agent_id: str, table: _OrderTable) -> KitchenAction:
+def _self_assigned_units(state: KitchenState, table: _OrderTable) -> dict[str, list[WorkUnit]]:
+    """Every agent's units, in roster order: the live orders most urgent first, each dealt whole by ordinal."""
     roster = state.agent_ids()
-    index = roster.index(agent_id)
-    owned = [order for order in state.orders if order.ordinal % len(roster) == index]
-    owned.sort(key=order_urgency)
-    units = [unit for order in owned for unit in table.units(state, order)]
-    return _act_on_units(state, agent_id, units, table)
-
-
-def scripted_individual_action(state: KitchenState, agent_id: str) -> KitchenAction:
-    """Self-assigned action: this agent owns orders by ordinal round-robin."""
-    return _self_assigned_action(state, agent_id, _OrderTable(state.config))
+    units: dict[str, list[WorkUnit]] = {agent_id: [] for agent_id in roster}
+    for order in sorted(state.orders, key=order_urgency):
+        units[roster[order.ordinal % len(roster)]] += table.units(state, order)
+    return units
 
 
 def _units_from_directives(
@@ -341,9 +320,9 @@ class ScriptedWorker(_Scripted):
         table = self._table(state)
         if query.directives is not None:
             units = _units_from_directives(state, query.directives)
-            action = _act_on_units(state, query.agent_id, units, table)
         else:
-            action = _self_assigned_action(state, query.agent_id, table)
+            units = _self_assigned_units(state, table)[query.agent_id]
+        action = _act_on_units(state, query.agent_id, units, table)
         return PolicyResponse(text=action.to_text())
 
 
@@ -367,8 +346,8 @@ class ScriptedOrchestrator(_Scripted):
     def respond(self, query: PolicyQuery, state: KitchenState) -> PolicyResponse:
         table = self._table(state)
         lines = [
-            _self_assigned_action(state, agent_id, table).to_text()
-            for agent_id in state.agent_ids()
+            _act_on_units(state, agent_id, units, table).to_text()
+            for agent_id, units in _self_assigned_units(state, table).items()
         ]
         return PolicyResponse(text="\n".join(lines))
 
@@ -391,13 +370,8 @@ class ScriptedPlanner(_Scripted):
             for order in sorted(state.orders, key=order_urgency)
             for unit in table.units(state, order)
         ]
-        directives: dict[str, list[Directive]] = {a: [] for a in agents}
-        for i, unit in enumerate(units):
-            directives[agents[i % len(agents)]].append(unit)
-        for agent_id in agents:
-            if not directives[agent_id]:
-                directives[agent_id].append("idle")
-        plan = Plan(created_at=state.step, directives={a: tuple(ds) for a, ds in directives.items()})
+        dealt = {agent_id: tuple(units[i::len(agents)]) or ("idle",) for i, agent_id in enumerate(agents)}
+        plan = Plan(created_at=state.step, directives=dealt)
         return plan, PolicyResponse(text=plan.to_text())
 
 

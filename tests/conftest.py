@@ -11,7 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from allocsim.assignment import Candidate, CostMatrix
-from allocsim.coordination import ControllerMode, run_episode
+from allocsim.coordination import ControllerMode, Directive, PolicyQuery, parse_action, run_episode
 from allocsim.kitchen import (
     Activate,
     Get,
@@ -175,6 +175,14 @@ def order_accounting_ok(state: KitchenState) -> bool:
     return state.next_spawn_index == (
         len(state.completed_dishes) + state.expired_count + len(state.orders)
     )
+
+
+def scripted_action(
+    state: KitchenState, agent_id: str, directives: tuple[Directive, ...] | None = None
+) -> KitchenAction | None:
+    """The action a fresh ``ScriptedWorker`` answers for the agent: self-assigned, or under ``directives``."""
+    text = ScriptedWorker().respond(PolicyQuery("", agent_id, directives), state).text
+    return parse_action(text, state.agent_ids(), list(state.locations))
 
 
 def scripted_individual_episode(level: LevelConfig, agents: int, seed: int, budget: int | None = None):

@@ -38,11 +38,16 @@ from allocsim.policies import (
     RecordedWorker,
     ScriptedPlanner,
     ScriptedWorker,
-    scripted_individual_action,
 )
 from allocsim.seeding import derive_seed
 
-from conftest import order_accounting_ok, random_level, scripted_individual_episode, scripted_planner_episode
+from conftest import (
+    order_accounting_ok,
+    random_level,
+    scripted_action,
+    scripted_individual_episode,
+    scripted_planner_episode,
+)
 
 
 def ok(criterion: int, message: str) -> None:
@@ -133,7 +138,7 @@ def test_c05_order_accounting_invariant():
         level = random_level(1000 + seed)
         state = load_level(level, 1 + seed % 3, seed)
         for _ in range(level.max_steps):
-            joint = {a: scripted_individual_action(state, a) for a in state.agent_ids()}
+            joint = {a: scripted_action(state, a) for a in state.agent_ids()}
             step(state, joint)
             assert order_accounting_ok(state), (seed, state.step)
         episodes += 1

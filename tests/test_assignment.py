@@ -500,6 +500,26 @@ class TestValidate:
         report = validate(m, Candidate((0, "zebra", 2)))
         assert any(isinstance(v, MalformedCandidate) for v in report.violations)
 
+    @pytest.mark.parametrize("claimed", ["0", float("nan"), float("inf"), -float("inf"), True, False, [0], 10**400],
+                             ids=lambda v: repr(v)[:12])
+    def test_claimed_cost_not_a_finite_number_is_malformed(self, claimed):
+        m = CostMatrix.from_rows([[0, 9], [9, 0]])
+        report = validate(m, Candidate((0, 1), claimed_cost=claimed))
+        assert report.violations == (MalformedCandidate(f"claimed cost {claimed!r} is not a finite number"),)
+        # without a mapping the claim is flagged as well
+        assert validate(m, Candidate(None, claimed_cost=claimed)).violations[0] == report.violations[0]
+
+    @pytest.mark.parametrize("claimed", [0, 0.0, np.int64(0), np.float32(0), 2**70], ids=repr)
+    def test_claimed_cost_of_any_int_or_float_is_graded(self, claimed):
+        m = CostMatrix.from_rows([[0, 9], [9, 0]])
+        report = validate(m, Candidate((0, 1), claimed_cost=claimed))
+        assert report.violations == (() if claimed == 0 else (FabricatedCost(claimed, 0.0),))
+
+    def test_free_form_claimed_cost_is_graded_not_raised(self):
+        m = CostMatrix.from_rows([[0, 9], [9, 0]])
+        for text in ('{"mapping": [0, 1], "total_cost": "5"}', '{"mapping": [0, 1], "claimed_cost": NaN}'):
+            assert validate(m, parse_candidate_text(text, 2)).kinds() == {"MalformedCandidate"}
+
     def test_no_claimed_cost_skips_fabrication_check(self):
         m = CostMatrix.from_rows([[0, 9], [9, 0]])
         assert validate(m, Candidate((0, 1))).is_valid

@@ -63,6 +63,30 @@ class TestAssignEval:
         rows = score["per_instance"]
         assert "DuplicateAgent" in rows[0]["violations"]
 
+    def test_free_form_claimed_cost_not_a_number_grades_invalid(self, tmp_path):
+        mock_file = tmp_path / "mock.json"
+        canned = ['{"mapping": [0, 1], "total_cost": "5"}', '{"mapping": [0, 1], "total_cost": NaN}']
+        mock_file.write_text(json.dumps(canned), encoding="utf-8")
+        out = tmp_path / "run"
+        code = main(["assign-eval", "--seed", "8", "--instances", "2", "--n-min", "2", "--n-max", "2",
+                     "--allocator", "mock", "--mock-file", str(mock_file), "--output", str(out)])
+        assert code == 0
+        score = read_json(out / "score.json")
+        assert score["validity_rate"] == 0.0
+        assert [row["violations"] for row in score["per_instance"]] == [["MalformedCandidate"]] * 2
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_strict_mapping_from_a_config_file(self, tmp_path, strict):
+        # all-zero costs: only strict grading marks a non-canonical mapping wrong
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"strict_mapping": strict}), encoding="utf-8")
+        out = tmp_path / "run"
+        code = main(["assign-eval", "--seed", "2", "--instances", "4", "--n-min", "3", "--n-max", "5",
+                     "--lo", "0", "--hi", "0", "--allocator", "random", "--config", str(config),
+                     "--output", str(out)])
+        assert code == 0
+        assert (read_json(out / "score.json")["accuracy"] < 1.0) == strict
+
     def test_greedy_accuracy_matches_brute_force_check(self, tmp_path):
         out = tmp_path / "run"
         seed = 11
@@ -713,6 +737,35 @@ BAD_INPUT = [
     pytest.param(_replay_run(_trace({"step": 0, "actions": {"agent0": 5}})), id="trace-step-action-not-a-string"),
     pytest.param(_replay_run(_trace(level=None)), id="trace-header-without-level"),
     pytest.param(_replay_run(_trace(agent_count=9)), id="trace-header-agent-count-out-of-range"),
+    *[
+        pytest.param(_replay_run(_trace(**{key: value})), id=f"trace-header-{key}-{value!r}")
+        for key, value in [("agent_count", 2.9), ("agent_count", True), ("agent_count", "2"),
+                           ("seed", 1.5), ("seed", True), ("seed", 1.0)]
+    ],
+    *[
+        pytest.param(_config_run(argv, {key: value}), id=f"config-{key}-{value!r}")
+        for argv, key, value in [
+            (["kitchen-run", "--seed", "1", "--level", "level_1"], "agents", 2.9),
+            (["kitchen-run", "--seed", "1", "--level", "level_1"], "agents", True),
+            (["kitchen-run", "--level", "level_1", "--agents", "2"], "seed", True),
+            (["kitchen-run", "--level", "level_1", "--agents", "2"], "seed", "1"),
+            ([*_KITCHEN_BASE, "--agents", "2"], "budget", 3.5),
+            ([*_SWEEP_BASE, "--workers", "scripted"], "budget", False),
+            (["assign-eval", "--seed", "1"], "instances", 2.5),
+            (["assign-eval", "--instances", "2"], "seed", 1.0),
+            (_ASSIGN, "n_min", True),
+            (_ASSIGN, "n_max", 3.7),
+            (_ASSIGN, "lo", 0.5),
+            (_ASSIGN, "hi", True),
+            (_ASSIGN, "strict_mapping", "false"),
+            (_ASSIGN, "strict_mapping", 0),
+        ]
+    ],
+    *[
+        pytest.param(_config_run(_KITCHEN, _mock_binding("workers", _ENTRY, max_retries=value)),
+                     id=f"max-retries-{value!r}")
+        for value in (1.5, True)
+    ],
 ]
 
 

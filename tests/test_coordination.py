@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import gc
 import inspect
+import json
 import tracemalloc
 
 import pytest
@@ -57,6 +58,7 @@ from allocsim.policies import (
 )
 
 from conftest import scripted_individual_episode, scripted_planner_episode, stretched_level
+from test_accounting import ReferenceLedger
 
 ROSTER = ["agent0", "agent1"]
 LOCATIONS = ["storage0", "servingtable0", "blender0", "blender1"]
@@ -421,9 +423,14 @@ class TestRunEpisode:
         assert [(r.tokens_in, r.tokens_out) for r in rows] == [
             (100 + i, 10 + i) for i in range(5)
         ]
-        # report.json is written from the ledger's prewritten block, to the plain form's text
+        # report.json is written from the ledger's prewritten block, to the reference ledger's text
+        reference = ReferenceLedger(report.ledger.price_table)
+        for row in report.ledger.rows:
+            reference.record_call(row.model_id, row.role, row.tokens_in, row.tokens_out, row.step)
         written, _ = report.ledger.artifacts()
-        assert dumps_indented(report.to_json_dict(ledger=written)) == dumps_indented(report.to_json_dict())
+        payload = report.to_json_dict(ledger=written)
+        plain = dict(payload, ledger=reference.to_json_dict())
+        assert dumps_indented(payload) == json.dumps(plain, indent=2, sort_keys=True)
 
 
 def _salmon_routine(agent, blender):

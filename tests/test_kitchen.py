@@ -44,6 +44,7 @@ from conftest import (
     legal_actions,
     order_accounting_ok,
     random_level,
+    scripted_action,
     scripted_individual_episode,
 )
 
@@ -400,12 +401,10 @@ def expected_census(before, outcome) -> Counter:
 class TestInvariants:
     def _scripted_walk(self, level, agents, seed, steps=None):
         """Drive the env with the scripted oracle, yielding (prior state, stepped state, outcome)."""
-        from allocsim.policies import scripted_individual_action
-
         state = load_level(level, agents, seed)
         limit = steps if steps is not None else level.max_steps
         for _ in range(min(limit, level.max_steps)):
-            joint = {a: scripted_individual_action(state, a) for a in state.agent_ids()}
+            joint = {a: scripted_action(state, a) for a in state.agent_ids()}
             before = state.copy()
             outcome = step(state, joint)
             yield before, state, outcome

@@ -36,15 +36,18 @@ from allocsim.policies import (
     ScriptedOrchestrator,
     ScriptedPlanner,
     ScriptedWorker,
-    advance_unit,
-    order_units,
-    scripted_individual_action,
     sticky_tool,
 )
 from allocsim.seeding import derive_seed
 
 import scripted_reference as reference
-from conftest import any_action, random_level
+from conftest import any_action, random_level, scripted_action
+
+
+def planned_units(state, order):
+    """The order's work units, as a one-agent ``ScriptedPlanner`` plan deals them."""
+    plan, _ = ScriptedPlanner().plan("p", state, ["agent0"], None, ())
+    return [u for u in plan.directives["agent0"] if u.order_ordinal == order.ordinal]
 
 
 class TestSeeding:
@@ -73,13 +76,13 @@ class TestWorkUnits:
         # force a known dish for the check
         order = state.orders[0]
         order.dish = "salmonRiceBowl"
-        units = order_units(state, order)
+        units = planned_units(state, order)
         assert [u.step_index for u in units] == [0, 1, None]
         assert units[-1].tool_id == units[-2].tool_id  # delivery from the final tool
 
     def test_cook_unit_walks_through_the_recipe(self, level_1):
         state = load_level(level_1, 1, seed=0)
-        unit = order_units(state, state.orders[0])[0]
+        unit = planned_units(state, state.orders[0])[0]
         expected = [
             Goto("agent0", "storage0"),
             Get("agent0", "storage0", "salmon"),
@@ -88,34 +91,33 @@ class TestWorkUnits:
             Activate("agent0", "blender0"),
         ]
         for want in expected:
-            action = advance_unit(state, "agent0", unit)
+            action = scripted_action(state, "agent0", (unit,))
             assert action == want
             outcome = step(state, {"agent0": action})
             assert outcome.per_agent_result["agent0"] is None
         # while cooking there is nothing for the cook unit to do
-        assert advance_unit(state, "agent0", unit) is None
+        assert scripted_action(state, "agent0", (unit,)) == Noop("agent0")
 
     def test_deliver_unit_waits_then_serves(self, level_1):
         state = load_level(level_1, 1, seed=0)
-        cook, deliver = order_units(state, state.orders[0])
-        while (action := advance_unit(state, "agent0", cook)) is not None:
+        cook, deliver = planned_units(state, state.orders[0])
+        while (action := scripted_action(state, "agent0", (cook,))) != Noop("agent0"):
             step(state, {"agent0": action})
         # cooking: deliver pre-positions nothing (already at the tool? no: at blender0)
         while state.locations["blender0"].processing is not None:
-            action = advance_unit(state, "agent0", deliver) or Noop("agent0")
-            step(state, {"agent0": action})
-        assert advance_unit(state, "agent0", deliver) == Get("agent0", "blender0", "salmonMeatcake")
+            step(state, {"agent0": scripted_action(state, "agent0", (deliver,))})
+        assert scripted_action(state, "agent0", (deliver,)) == Get("agent0", "blender0", "salmonMeatcake")
         step(state, {"agent0": Get("agent0", "blender0", "salmonMeatcake")})
-        assert advance_unit(state, "agent0", deliver) == Goto("agent0", "servingtable0")
+        assert scripted_action(state, "agent0", (deliver,)) == Goto("agent0", "servingtable0")
         step(state, {"agent0": Goto("agent0", "servingtable0")})
-        assert advance_unit(state, "agent0", deliver) == Put("agent0", "servingtable0")
+        assert scripted_action(state, "agent0", (deliver,)) == Put("agent0", "servingtable0")
 
     def test_janitor_clears_foreign_tool_contents(self, level_1):
         state = load_level(level_1, 1, seed=0)
         state.locations["blender0"].contents = Counter({"salmon": 2})  # overfilled
-        unit = order_units(state, state.orders[0])[0]
+        unit = planned_units(state, state.orders[0])[0]
         state.agents["agent0"].at = "blender0"
-        action = advance_unit(state, "agent0", unit)
+        action = scripted_action(state, "agent0", (unit,))
         assert action == Get("agent0", "blender0", "salmon")
 
     def test_oracle_actions_always_legal_on_shipped_levels(self):
@@ -123,9 +125,7 @@ class TestWorkUnits:
             for agents in (1, 2, 3):
                 state = load_level(get_level(level_id), agents, seed=99)
                 for _ in range(state.config.max_steps):
-                    joint = {
-                        a: scripted_individual_action(state, a) for a in state.agent_ids()
-                    }
+                    joint = {a: scripted_action(state, a) for a in state.agent_ids()}
                     at = state.step
                     outcome = step(state, joint)
                     for agent_id, result in outcome.per_agent_result.items():
@@ -137,7 +137,7 @@ class TestWorkUnits:
             level = random_level(3000 + seed)
             state = load_level(level, 1 + seed % 3, seed)
             for _ in range(level.max_steps):
-                joint = {a: scripted_individual_action(state, a) for a in state.agent_ids()}
+                joint = {a: scripted_action(state, a) for a in state.agent_ids()}
                 step(state, joint)
 
 
@@ -315,7 +315,6 @@ def assert_oracle_matches_reference(state, directives):
         directed = worker.respond(PolicyQuery("obs", agent_id, directives[agent_id]), state).text
         expected = reference.directed_action(state, agent_id, directives[agent_id]).to_text()
         assert directed == expected, (state.step, agent_id, directives[agent_id])
-        assert scripted_individual_action(state, agent_id).to_text() == alone
 
 
 LEVELS = st.one_of(st.sampled_from(sorted(BUILTIN_LEVELS)).map(get_level), st.integers(0, 400).map(random_level))
