@@ -600,6 +600,174 @@ def test_one_parser_serves_successive_calls(tmp_path, capsys):
     assert strict < lenient == 1.0
 
 
+# ``--help`` of ``allocsim`` and each subcommand at 80 columns, as Python 3.11's argparse lays it out
+_HELP = {
+    '': """\
+usage: allocsim [-h] {assign-eval,kitchen-run,capability-sweep,replay} ...
+
+Multi-agent task allocation experiments
+
+positional arguments:
+  {assign-eval,kitchen-run,capability-sweep,replay}
+    assign-eval         score an allocator on assignment instances
+    kitchen-run         run kitchen episodes
+    capability-sweep    paired on-the-fly vs informed planner runs
+    replay              re-execute a trace and verify hashes
+
+options:
+  -h, --help            show this help message and exit
+""",
+    'assign-eval': """\
+usage: allocsim assign-eval [-h] [--config CONFIG] [--seed SEED]
+                            [--output OUTPUT] [--instances INSTANCES]
+                            [--n-min N_MIN] [--n-max N_MAX] [--lo LO]
+                            [--hi HI]
+                            [--allocator {hungarian,greedy,random,mock}]
+                            [--mock-file MOCK_FILE] [--strict-mapping]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON config file; flags override it
+  --seed SEED           root seed for all randomness
+  --output OUTPUT       output directory
+  --instances INSTANCES
+                        number of instances
+  --n-min N_MIN         smallest matrix size
+  --n-max N_MAX         largest matrix size
+  --lo LO               minimum cost entry
+  --hi HI               maximum cost entry
+  --allocator {hungarian,greedy,random,mock}
+  --mock-file MOCK_FILE
+                        JSON list of canned candidates for --allocator mock
+  --strict-mapping      score optimality by exact mapping equality
+""",
+    'kitchen-run': """\
+usage: allocsim kitchen-run [-h] [--config CONFIG] [--seed SEED]
+                            [--output OUTPUT] [--level LEVEL]
+                            [--agents AGENTS] [--mode MODE] [--budget BUDGET]
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  JSON config file; flags override it
+  --seed SEED      root seed for all randomness
+  --output OUTPUT  output directory
+  --level LEVEL    built-in level id or level JSON path
+  --agents AGENTS  number of agents (1..6)
+  --mode MODE      individual | orchestrator | planner | all
+  --budget BUDGET  step budget (default: level max)
+""",
+    'capability-sweep': """\
+usage: allocsim capability-sweep [-h] [--config CONFIG] [--seed SEED]
+                                 [--output OUTPUT] [--level LEVEL]
+                                 [--workers WORKERS] [--budget BUDGET]
+
+options:
+  -h, --help         show this help message and exit
+  --config CONFIG    JSON config file; flags override it
+  --seed SEED        root seed for all randomness
+  --output OUTPUT    output directory
+  --level LEVEL      built-in level id or level JSON path
+  --workers WORKERS  comma-separated worker specs, e.g.
+                     scripted:0.0,scripted:0.3
+  --budget BUDGET    step budget
+""",
+    'replay': """\
+usage: allocsim replay [-h] --trace TRACE
+
+options:
+  -h, --help     show this help message and exit
+  --trace TRACE  trace.jsonl produced by kitchen-run
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP))
+def test_help_text(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"] if command else ["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == _HELP[command]
+
+
+def _precedence_rows():
+    """(argv, setting, file value, the same value as flags, another value as flags), one row per setting.
+
+    ``argv`` is a full command line whose own flags for the setting are
+    left out; ``{inputs}`` in a value is the directory of the mock files.
+    A file value differs from the setting's default where the flag can say
+    so, so a file value that is ignored shows.
+    """
+    assign = ["assign-eval", "--seed", "1", "--instances", "3", "--n-min", "2", "--n-max", "4"]
+    commands = [
+        [*assign, "--lo", "0", "--hi", "9", "--allocator", "random"],
+        ["kitchen-run", "--seed", "1", "--level", "level_1", "--agents", "2", "--mode", "individual", "--budget", "3"],
+        ["capability-sweep", "--seed", "1", "--level", "level_1", "--workers", "scripted", "--budget", "3"],
+    ]
+    flag_values = {
+        "seed": (1, "2"), "output": ("a", "b"),
+        "instances": (3, "2"), "n_min": (3, "2"), "n_max": (4, "2"), "lo": (5, "0"), "hi": (9, "99"),
+        "allocator": ("random", "greedy"),
+        "level": ("level_2", "level_1"), "agents": (2, "1"), "mode": ("planner", "individual"),
+        "budget": (3, "5"), "workers": ("scripted", "scripted,scripted:0.5"),
+    }
+    rows = []
+    for argv in commands:
+        flags = {flag[2:].replace("-", "_"): flag for flag in argv if flag.startswith("--")}
+        for key, flag in [*flags.items(), ("output", "--output")]:
+            file_value, other = flag_values[key]
+            rest = list(argv)
+            if key in flags:
+                at = rest.index(flag)
+                del rest[at:at + 2]
+            rows.append(pytest.param(rest, key, file_value, [flag, str(file_value)], [flag, other],
+                                     id=f"{argv[0]}-{key}"))
+    rows += [
+        pytest.param(["assign-eval", "--seed", "1", "--instances", "3", "--n-min", "2", "--n-max", "2", "--allocator",
+                      "mock"], "mock_file", "{inputs}/a.json", ["--mock-file", "{inputs}/a.json"],
+                     ["--mock-file", "{inputs}/b.json"], id="assign-eval-mock_file"),
+        # the flag can only switch strict grading on; all-zero costs make it show
+        pytest.param([*assign, "--lo", "0", "--hi", "0", "--allocator", "random"],
+                     "strict_mapping", False, [], ["--strict-mapping"], id="assign-eval-strict_mapping"),
+    ]
+    return rows
+
+
+@pytest.mark.parametrize("argv, key, file_value, same_flags, other_flags", _precedence_rows())
+def test_file_value_applies_unless_the_flag_is_given(argv, key, file_value, same_flags, other_flags,
+                                                      tmp_path, capsys, monkeypatch):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "a.json").write_text(json.dumps([{"mapping": [0, 1], "claimed_cost": None}] * 3), encoding="utf-8")
+    (inputs / "b.json").write_text(json.dumps([{"mapping": [1, 0], "claimed_cost": 1}] * 3), encoding="utf-8")
+
+    def fill(value):
+        return value.format(inputs=inputs) if isinstance(value, str) else value
+
+    runs = []
+
+    def run(flags, conf=None):
+        """Exit code, stdout and every file written, for ``argv`` plus ``flags`` run in a fresh directory."""
+        root = tmp_path / f"run{len(runs)}"
+        root.mkdir()
+        monkeypatch.chdir(root)
+        command = [*argv, *map(fill, flags)]
+        if key != "output":
+            command += ["--output", "out"]
+        if conf is not None:
+            config = tmp_path / f"config{len(runs)}.json"
+            config.write_text(json.dumps({k: fill(v) for k, v in conf.items()}), encoding="utf-8")
+            command += ["--config", str(config)]
+        runs.append((main(command), capsys.readouterr().out, _tree(root)))
+        return runs[-1]
+
+    from_file = run([], {key: file_value})
+    assert from_file[0] == 0 and from_file[2]
+    assert from_file == run(same_flags)
+    assert run(other_flags, {key: file_value}) == run(other_flags)
+    assert runs[-1] != from_file
+
+
 def _config_run(argv, conf):
     """Argv builder: ``argv`` plus a config file holding ``conf(tmp_path)``."""
     def build(tmp_path):
