@@ -98,9 +98,6 @@ class PriceTable:
         object.__setattr__(self, "denominator", scale * _MTOK)
         object.__setattr__(self, "rates", MappingProxyType(rates))
 
-    def __contains__(self, model_id: str) -> bool:
-        return model_id in self.prices
-
     @classmethod
     def from_entries(cls, entries: Mapping[str, tuple[Any, Any]]) -> "PriceTable":
         return cls(

@@ -213,9 +213,13 @@ class Candidate:
     raw_text: str | None = None
 
     def to_json_dict(self) -> dict[str, Any]:
+        """The candidate as JSON data; a NaN or infinite claim is written as the string of its token."""
+        cost = self.claimed_cost
+        if isinstance(cost, float) and not math.isfinite(cost):
+            cost = json.dumps(cost)  # JSON has no such number; the token is kept as text
         return {
             "mapping": None if self.mapping is None else list(self.mapping),
-            "claimed_cost": self.claimed_cost,
+            "claimed_cost": cost,
             "raw_text": self.raw_text,
         }
 

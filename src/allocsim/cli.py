@@ -13,9 +13,12 @@ Subcommands:
   and verify that every step's index, actions, results, events and
   observation hash match the recording.
 
-Runs are configured by a JSON file (``--config``) with per-flag keys;
-explicit flags win over the file. All randomness derives from the single
-``--seed`` via labelled paths, so any sub-run is reproducible on its own.
+The settings of all but ``replay`` are a table of :class:`Setting` rows
+per subcommand, which a JSON config file (``--config``) may give by key;
+explicit flags win. :func:`_read` reads flags, config files, binding specs,
+mock candidates and trace headers at each setting's exact JSON type. All
+randomness derives from the single ``--seed`` via labelled paths, so any
+sub-run is reproducible on its own.
 
 Exit codes: 0 on success, 1 when ``replay`` finds a mismatch, 2 on a
 configuration error (bad flag value, config file, binding spec, mock
@@ -29,11 +32,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,48 +79,121 @@ def _read_json(path: Path, what: str) -> Any:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
 
 
-# config-file settings used as they are: the JSON types each takes, and their name
-_FILE_TYPES: dict[str, tuple[type | tuple[type, ...], str]] = {
-    "level": (str, "a string"),
-    "mode": (str, "a string"),
-    "mock_file": (str, "a string"),
-    "workers": ((str, list), "a string or a list"),
-    "bindings": (dict, "an object"),
-    "strict_mapping": (bool, "true or false"),
-}
+# --- settings ------------------------------------------------------------------
 
 
-def _merge_config(args: argparse.Namespace, keys: Sequence[str]) -> dict[str, Any]:
-    """File values fill in whatever the command line left unset."""
-    merged: dict[str, Any] = {}
-    file_conf: dict[str, Any] = {}
-    if getattr(args, "config", None):
-        file_conf = _read_json(Path(args.config), "config file")
-        if not isinstance(file_conf, dict):
-            raise ConfigError(f"config file {args.config} must hold a JSON object")
-    for key in [*keys, "bindings"]:
-        kinds, name = _FILE_TYPES.get(key, (object, ""))
-        value = file_conf.get(key)
-        if value is not None and not isinstance(value, kinds):
-            raise ConfigError(f"config file {args.config}: setting {key!r} must be {name}, got {value!r}")
-    for key in keys:
-        flag_value = getattr(args, key, None)
-        merged[key] = flag_value if flag_value is not None else file_conf.get(key)
-    merged["bindings"] = file_conf.get("bindings") or {}
-    return merged
+class Kind(NamedTuple):
+    """The JSON types a setting takes, their name, and its flag's ``add_argument`` options (None: no flag)."""
+
+    types: tuple[type, ...]
+    name: str
+    flag: Mapping[str, Any] | None
 
 
-def _require(conf: Mapping[str, Any], key: str, kind: type, where: str) -> Any:
-    value = conf.get(key)
-    if value is None:
-        raise ConfigError(f"{where}: missing required setting {key!r}")
-    if kind is int and type(value) is not int:  # a bool, a float or a string is refused, not coerced
-        raise ConfigError(f"{where}: setting {key!r} must be an integer, got {value!r}")
-    return kind(value)
+_INT = Kind((int,), "an integer", {"type": int})
+_STR = Kind((str,), "a string", {})
+_TRUE = Kind((bool,), "true or false", {"action": "store_const", "const": True})
+_STR_OR_LIST = Kind((str, list), "a string or a list", {})
+_LIST = Kind((list,), "a list", None)
+_NUMBER = Kind((int, float), "a number", None)
+_OBJECT = Kind((dict,), "an object", None)
 
 
-def _int_or(conf: Mapping[str, Any], key: str, default: int | None, where: str) -> int | None:
-    return default if conf.get(key) is None else _require(conf, key, int, where)
+class Bound(NamedTuple):
+    """A test of a setting's value, what it asks for, and the choices its flag offers."""
+
+    holds: Callable[[Any], bool]
+    wants: str
+    choices: tuple[str, ...] | None = None
+
+
+def _within(low: int, high: float = math.inf) -> Bound:
+    return Bound(lambda value: low <= value <= high, f">= {low}" if high == math.inf else f"in [{low}, {high}]")
+
+
+def _one_of(choices: tuple[str, ...]) -> Bound:
+    return Bound(choices.__contains__, f"one of {', '.join(choices)}", choices)
+
+
+class Setting(NamedTuple):
+    """One setting: its key (a flag's dest and a JSON key), kind, default (``...``: required), bound and flag help."""
+
+    key: str
+    kind: Kind
+    default: Any = ...
+    bound: Bound | None = None
+    help: str | None = None
+
+
+def _read(settings: Sequence[Setting], where: str, *sources: Mapping[str, Any]) -> dict[str, Any]:
+    """Each setting's value from the first source giving it (flags before a file; ``None`` gives nothing),
+    else its default. A value given must be of the setting's JSON types exactly and within its bound."""
+    values = {}
+    for key, kind, default, bound, _ in settings:
+        value = next((source[key] for source in sources if source.get(key) is not None), None)
+        if value is None:
+            if default is ...:
+                raise ConfigError(f"{where}: missing required setting {key!r}")
+            value = default
+        elif type(value) not in kind.types:  # so a bool is not an integer
+            raise ConfigError(f"{where}: setting {key!r} must be {kind.name}, got {value!r}")
+        elif bound is not None and not bound.holds(value):
+            raise ConfigError(f"{where}: setting {key!r} must be {bound.wants}, got {value!r}")
+        values[key] = value
+    return values
+
+
+def _settings(args: argparse.Namespace, settings: Sequence[Setting]) -> dict[str, Any]:
+    """The command's ``settings`` read from its flags, else from the ``--config`` file's object."""
+    conf = _read_json(Path(args.config), "config file") if args.config else {}
+    if not isinstance(conf, dict):
+        raise ConfigError(f"config file {args.config} must hold a JSON object")
+    return _read(settings, args.command, vars(args), conf)
+
+
+def _roster(workers: str | list) -> list:
+    """The worker specs of a ``workers`` setting: a comma-separated string or a list."""
+    return workers.split(",") if isinstance(workers, str) else workers
+
+
+_ALLOCATORS = ("hungarian", "greedy", "random", "mock")
+_MODES = (*(mode.value for mode in ControllerMode), "all")
+
+_AGENTS = _within(MIN_AGENTS, MAX_AGENTS)
+_SEED = Setting("seed", _INT, help="root seed for all randomness")
+_OUTPUT = Setting("output", _STR, help="output directory")
+_LEVEL = Setting("level", _STR, "level_1", help="built-in level id or level JSON path")
+_BINDINGS = Setting("bindings", _OBJECT, {})
+
+_ASSIGN_EVAL = (
+    _SEED, _OUTPUT,
+    Setting("instances", _INT, bound=_within(1), help="number of instances"),
+    Setting("n_min", _INT, 2, _within(1), "smallest matrix size"),
+    Setting("n_max", _INT, 8, help="largest matrix size"),
+    Setting("lo", _INT, 0, _within(0), "minimum cost entry"),
+    Setting("hi", _INT, 99, _within(0, 2**63 - 1), "maximum cost entry"),  # numpy draws the costs as int64
+    Setting("allocator", _STR, "hungarian", _one_of(_ALLOCATORS)),
+    Setting("mock_file", _STR, None, help="JSON list of canned candidates for --allocator mock"),
+    Setting("strict_mapping", _TRUE, False, help="score optimality by exact mapping equality"),
+)
+_KITCHEN_RUN = (
+    _SEED, _OUTPUT, _LEVEL,
+    Setting("agents", _INT, bound=_AGENTS, help=f"number of agents ({MIN_AGENTS}..{MAX_AGENTS})"),
+    Setting("mode", _STR, "individual", Bound(lambda mode: mode.lower() in _MODES, f"one of {', '.join(_MODES)}"),
+            " | ".join(_MODES)),
+    Setting("budget", _INT, None, _within(0), "step budget (default: level max)"),
+    _BINDINGS,
+)
+_CAPABILITY_SWEEP = (
+    _SEED, _OUTPUT, _LEVEL,
+    Setting("workers", _STR_OR_LIST,
+            bound=Bound(lambda workers: MIN_AGENTS <= len(_roster(workers)) <= MAX_AGENTS,
+                        f"{MIN_AGENTS} to {MAX_AGENTS} worker specs"),
+            help="comma-separated worker specs, e.g. scripted:0.0,scripted:0.3"),
+    Setting("budget", _INT, None, _within(0), "step budget"),
+    _BINDINGS,
+)
+_TRACE_HEADER = (Setting("level", _OBJECT), Setting("agent_count", _INT, bound=_AGENTS), Setting("seed", _INT))
 
 
 def _load_level_config(spec: str) -> LevelConfig:
@@ -138,67 +215,58 @@ def _load_level_config(spec: str) -> LevelConfig:
 _SCRIPTED = {"worker": ScriptedWorker, "orchestrator": ScriptedOrchestrator, "planner": ScriptedPlanner}
 _GATEWAY = {"worker": GatewayWorker, "orchestrator": GatewayOrchestrator, "planner": GatewayPlanner}
 
-
-def _flaky_worker(rate: Any, seed: int, label: str) -> FlakyWorker:
-    try:
-        return FlakyWorker(ScriptedWorker(), float(rate), derive_seed(seed, "flaky", label))
-    except (TypeError, ValueError):
-        raise ConfigError(f"worker failure rate must be a number in [0, 1], got {rate!r}")
+_MODEL_ID, _RETRIES = Setting("model_id", _STR), Setting("max_retries", _INT, 2, _within(0))
+_KIND = Setting("kind", _STR, "scripted")
+# the fields of each binding kind; only a worker may be flaky
+_BINDING_FIELDS = {
+    "scripted": (),
+    "flaky": (Setting("failure_rate", _NUMBER, 0.0, _within(0, 1)),),
+    # caught here, an empty endpoint or an unset auth variable would fail every call of the episode
+    "model": (_MODEL_ID, Setting("endpoint_url", _STR, bound=Bound(bool, "non-empty")),
+              Setting("auth_env_var", _STR, bound=Bound(os.environ.__contains__, "a set environment variable")),
+              _RETRIES),
+    "mock": (_MODEL_ID, Setting("endpoint_url", _STR, ""), Setting("auth_env_var", _STR, ""), _RETRIES,
+             Setting("script", _STR)),
+}
 
 
 def _policy_from_spec(role: str, spec: Any, seed: int = 0, label: str = "") -> Any:
     """The policy for one role ("worker", "orchestrator" or "planner") from its spec.
 
-    A spec is ``None`` or ``"scripted"``, or a mapping whose ``kind`` is
-    ``scripted``, ``model`` or ``mock``. Workers also take ``"scripted:<rate>"``
-    and ``kind: flaky``, whose failures are seeded from ``seed`` and ``label``.
+    A spec is a mapping whose ``kind`` is ``scripted`` (the default),
+    ``model`` or ``mock``, or for a worker ``flaky``, whose failures are
+    seeded from ``seed`` and ``label``; its other fields are the kind's
+    ``_BINDING_FIELDS``. ``None`` and ``"scripted"`` stand for
+    ``{"kind": "scripted"}``, and a worker's ``"scripted:<rate>"`` for
+    ``{"kind": "flaky", "failure_rate": <rate>}``.
     """
     where = f"{role} binding"
     if spec is None or spec == "scripted":
-        return _SCRIPTED[role]()
-    if role == "worker" and isinstance(spec, str) and spec.startswith("scripted:"):
-        return _flaky_worker(spec.split(":", 1)[1], seed, label)
-    kind = spec.get("kind", "scripted") if isinstance(spec, Mapping) else None
+        spec = {"kind": "scripted"}
+    elif role == "worker" and isinstance(spec, str) and spec.startswith("scripted:"):
+        rate = spec.split(":", 1)[1]
+        try:
+            spec = {"kind": "flaky", "failure_rate": float(rate)}
+        except ValueError:
+            raise ConfigError(f"{where}: failure rate {rate!r} is not a number")
+    kind = _read([_KIND], where, spec)["kind"] if isinstance(spec, dict) else None
+    fields = _BINDING_FIELDS.get(kind) if role == "worker" or kind != "flaky" else None
+    if fields is None:
+        raise ConfigError(f"unintelligible {role} spec {spec!r}")
+    conf = _read(fields, where, spec)
     if kind == "scripted":
         return _SCRIPTED[role]()
-    if role == "worker" and kind == "flaky":
-        return _flaky_worker(spec.get("failure_rate", 0.0), seed, label)
-    if kind not in ("model", "mock"):
-        raise ConfigError(f"unintelligible {role} spec {spec!r}")
-    model_id = _require(spec, "model_id", str, where)
-    max_retries = _int_or(spec, "max_retries", 2, where)
-    try:
-        binding = ModelBinding(
-            model_id=model_id,
-            endpoint_url=spec.get("endpoint_url", ""),
-            auth_env_var=spec.get("auth_env_var", ""),
-            max_retries=max_retries,
-        )
-    except ValueError as exc:  # a negative max_retries
-        raise ConfigError(f"{where}: {exc}")
-    if kind == "model":
-        # caught here, these would fail every call of the episode
-        if not binding.endpoint_url:
-            raise ConfigError(f"{where}: setting 'endpoint_url' is empty")
-        if not binding.auth_env_var or binding.auth_env_var not in os.environ:
-            raise ConfigError(f"{where}: auth environment variable {binding.auth_env_var!r} is not set")
+    if kind == "flaky":
+        return FlakyWorker(ScriptedWorker(), conf["failure_rate"], derive_seed(seed, "flaky", label))
+    binding = ModelBinding(conf["model_id"], conf["endpoint_url"], conf["auth_env_var"], conf["max_retries"])
     transport = None
     if kind == "mock":
-        path = Path(_require(spec, "script", str, where))
+        path = Path(conf["script"])
         try:
             transport = install_mock(_read_json(path, "mock script"))
         except TypeError as exc:  # not a list of entries, or an unknown entry key
             raise ConfigError(f"mock script {path}: {exc}")
     return _GATEWAY[role](binding, transport)
-
-
-def _build_workers(specs: Any, roster: Sequence[str], seed: int) -> dict[str, Any]:
-    """One worker per agent; a list of specs is dealt round-robin over the roster."""
-    pool = (specs or [None]) if isinstance(specs, list) else [specs]
-    return {
-        agent_id: _policy_from_spec("worker", pool[i % len(pool)], seed, agent_id)
-        for i, agent_id in enumerate(roster)
-    }
 
 
 # --- assign-eval ---------------------------------------------------------------
@@ -219,15 +287,12 @@ def _greedy_candidate(matrix: asg.CostMatrix) -> asg.Candidate:
     return asg.Candidate(tuple(mapping), cost, raw_text=f"greedy mapping {mapping}, cost {cost}")
 
 
-_ALLOCATORS = ("hungarian", "greedy", "random", "mock")
-
-
 def _allocate(matrix: asg.CostMatrix, allocator: str, rng: np.random.Generator,
               mock_pool: Iterator[Any] | None, solved: asg.Assignment) -> asg.Candidate:
     """One candidate for ``matrix``; ``solved`` is its optimal assignment.
 
-    ``allocator`` is one of ``_ALLOCATORS``, checked by the caller, and for
-    ``mock`` the caller checked that the pool holds an entry per instance.
+    ``allocator`` is one of ``_ALLOCATORS``, and for ``mock`` the caller
+    checked that the pool holds an entry per instance.
     """
     if allocator == "hungarian":
         return asg.Candidate(
@@ -246,49 +311,35 @@ def _allocate(matrix: asg.CostMatrix, allocator: str, rng: np.random.Generator,
     return asg.Candidate.from_json_dict(entry)
 
 
+# a candidate object's fields, each also null
+_MOCK_ENTRY = (Setting("mapping", _LIST, None), Setting("claimed_cost", _NUMBER, None), Setting("raw_text", _STR, None))
+
+
 def _load_mock_pool(path: Path) -> list[Any]:
     """Canned candidates: free-form answer strings or candidate JSON objects."""
     pool = _read_json(path, "mock file")
     if not isinstance(pool, list):
         raise ConfigError(f"mock file {path} must hold a JSON list")
     for index, entry in enumerate(pool):
-        if isinstance(entry, str):
-            continue
-        if not isinstance(entry, dict):
+        if isinstance(entry, dict):
+            _read(_MOCK_ENTRY, f"mock file {path}: entry {index}", entry)
+        elif not isinstance(entry, str):
             raise ConfigError(f"mock file {path}: entry {index} must be a string or an object")
-        if not isinstance(entry.get("mapping"), (list, type(None))):
-            raise ConfigError(f"mock file {path}: entry {index}: 'mapping' must be a list or null")
-        cost = entry.get("claimed_cost")
-        if isinstance(cost, bool) or not isinstance(cost, (int, float, type(None))):
-            raise ConfigError(f"mock file {path}: entry {index}: 'claimed_cost' must be a number or null")
     return pool
 
 
 def cmd_assign_eval(args: argparse.Namespace) -> int:
-    conf = _merge_config(
-        args, ["seed", "instances", "n_min", "n_max", "lo", "hi", "allocator", "output", "strict_mapping", "mock_file"]
-    )
-    seed = _require(conf, "seed", int, "assign-eval")
-    count = _require(conf, "instances", int, "assign-eval")
-    n_min = _int_or(conf, "n_min", 2, "assign-eval")
-    n_max = _int_or(conf, "n_max", 8, "assign-eval")
-    lo = _int_or(conf, "lo", 0, "assign-eval")
-    hi = _int_or(conf, "hi", 99, "assign-eval")
-    allocator = conf.get("allocator") or "hungarian"
-    strict = bool(conf.get("strict_mapping"))
-    output = Path(_require(conf, "output", str, "assign-eval"))
-    if count < 1:
-        raise ConfigError("assign-eval: instances must be >= 1")
-    if not 1 <= n_min <= n_max:
+    conf = _settings(args, _ASSIGN_EVAL)
+    seed, count, allocator, output = conf["seed"], conf["instances"], conf["allocator"], Path(conf["output"])
+    n_min, n_max, lo, hi = conf["n_min"], conf["n_max"], conf["lo"], conf["hi"]
+    if n_min > n_max:
         raise ConfigError(f"assign-eval: bad n range [{n_min}, {n_max}]")
-    if not 0 <= lo <= hi < 2**63:  # numpy draws the costs as int64
-        raise ConfigError(f"assign-eval: bad cost range [{lo}, {hi}]; need 0 <= lo <= hi < 2**63")
-    if allocator not in _ALLOCATORS:  # a config file's value skips argparse's choices
-        raise ConfigError(f"assign-eval: unknown allocator {allocator!r}")
+    if lo > hi:
+        raise ConfigError(f"assign-eval: bad cost range [{lo}, {hi}]")
 
     mock_pool = None
     if allocator == "mock":
-        mock_file = conf.get("mock_file")
+        mock_file = conf["mock_file"]
         if not mock_file:
             raise ConfigError("assign-eval: allocator 'mock' needs --mock-file")
         pool = _load_mock_pool(Path(mock_file))
@@ -313,7 +364,7 @@ def cmd_assign_eval(args: argparse.Namespace) -> int:
         references.append(solved)
         candidates.append(_allocate(matrix, allocator, alloc_rng, mock_pool, solved))
 
-    score = asg.score_batch(instances, candidates, strict_mapping=strict, references=references)
+    score = asg.score_batch(instances, candidates, strict_mapping=conf["strict_mapping"], references=references)
     (output / "instances.json").write_text(asg.dump_instances(instances) + "\n", encoding="utf-8")
     (output / "candidates.json").write_text(asg.dump_candidates(candidates) + "\n", encoding="utf-8")
     _dump_json(output / "score.json", score.to_json_dict())
@@ -401,39 +452,26 @@ def _write_episode_artifacts(
     (output / "histogram.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _mode_policies(
-    mode: ControllerMode, roster: Sequence[str], seed: int, bindings: Mapping[str, Any]
-) -> dict[str, Any]:
-    """The policy arguments of :func:`run_episode` for one mode."""
+def _mode_policies(mode: ControllerMode, roster: Sequence[str], seed: int,
+                   bindings: Mapping[str, Any]) -> dict[str, Any]:
+    """The policy arguments of :func:`run_episode` for one mode; a list of worker specs is dealt round-robin."""
     if mode is ControllerMode.ORCHESTRATOR:
         return {"central": _policy_from_spec("orchestrator", bindings.get("orchestrator"))}
-    policies = {"workers": _build_workers(bindings.get("workers"), roster, seed)}
+    specs = bindings.get("workers")
+    pool = (specs or [None]) if isinstance(specs, list) else [specs]
+    workers = {agent: _policy_from_spec("worker", pool[i % len(pool)], seed, agent) for i, agent in enumerate(roster)}
+    policies = {"workers": workers}
     if mode is ControllerMode.PLANNER:
         policies["planner"] = _policy_from_spec("planner", bindings.get("planner"))
     return policies
 
 
 def cmd_kitchen_run(args: argparse.Namespace) -> int:
-    conf = _merge_config(args, ["seed", "level", "agents", "mode", "budget", "output"])
-    seed = _require(conf, "seed", int, "kitchen-run")
-    agents = _require(conf, "agents", int, "kitchen-run")
-    if not MIN_AGENTS <= agents <= MAX_AGENTS:
-        raise ConfigError(f"kitchen-run: agents must be in [{MIN_AGENTS}, {MAX_AGENTS}], got {agents}")
-    level = _load_level_config(conf.get("level") or "level_1")
-    mode_arg = (conf.get("mode") or "individual").lower()
-    budget = _int_or(conf, "budget", None, "kitchen-run")
-    if budget is not None and budget < 0:
-        raise ConfigError(f"kitchen-run: budget must be >= 0, got {budget}")
-    output = Path(_require(conf, "output", str, "kitchen-run"))
-    bindings = conf.get("bindings", {})
-
-    if mode_arg == "all":
-        modes = [ControllerMode.INDIVIDUAL, ControllerMode.ORCHESTRATOR, ControllerMode.PLANNER]
-    else:
-        try:
-            modes = [ControllerMode(mode_arg)]
-        except ValueError:
-            raise ConfigError(f"kitchen-run: unknown mode {mode_arg!r}")
+    conf = _settings(args, _KITCHEN_RUN)
+    seed, agents, budget, output = conf["seed"], conf["agents"], conf["budget"], Path(conf["output"])
+    level = _load_level_config(conf["level"])
+    mode = conf["mode"].lower()
+    modes = list(ControllerMode) if mode == "all" else [ControllerMode(mode)]
 
     # every mode's bindings are built first, so a bad one fails before any
     # episode runs or writes an artifact
@@ -441,7 +479,7 @@ def cmd_kitchen_run(args: argparse.Namespace) -> int:
     for mode in modes:
         episode_seed = derive_seed(seed, "episode", mode.value)
         state = load_level(level, agents, episode_seed)
-        policies = _mode_policies(mode, state.agent_ids(), episode_seed, bindings)
+        policies = _mode_policies(mode, state.agent_ids(), episode_seed, conf["bindings"])
         runs.append((mode, episode_seed, state, policies))
     for mode, episode_seed, state, policies in runs:
         report = run_episode(mode, state, budget=budget, **policies)
@@ -474,14 +512,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "trace_header":
         raise ConfigError("trace file lacks a header record")
     header, records = lines[0], lines[1:]
-    agent_count = _require(header, "agent_count", int, "trace header")
-    seed = _require(header, "seed", int, "trace header")
+    conf = _read(_TRACE_HEADER, "trace header", header)
     try:
-        state = load_level(LevelConfig.from_json_dict(header["level"]), agent_count, seed)
-    except KeyError as exc:
-        raise ConfigError(f"trace header lacks {exc}")
-    except (TypeError, ValueError) as exc:  # a malformed level, or an agent count out of range
+        level = LevelConfig.from_json_dict(conf["level"])
+    except MalformedLevel as exc:
         raise ConfigError(f"trace header: {exc}")
+    state = load_level(level, conf["agent_count"], conf["seed"])
     for number, record in enumerate(records, start=1):
         texts = record.get("actions", {}) if isinstance(record, dict) else None
         if not isinstance(texts, dict) or not all(isinstance(t, str) for t in texts.values()):
@@ -516,22 +552,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_capability_sweep(args: argparse.Namespace) -> int:
-    conf = _merge_config(args, ["seed", "level", "workers", "budget", "output"])
-    seed = _require(conf, "seed", int, "capability-sweep")
-    level = _load_level_config(conf.get("level") or "level_1")
-    budget = _int_or(conf, "budget", None, "capability-sweep")
-    if budget is not None and budget < 0:
-        raise ConfigError(f"capability-sweep: budget must be >= 0, got {budget}")
-    output = Path(_require(conf, "output", str, "capability-sweep"))
-    workers_arg = conf.get("workers")
-    if workers_arg is None:
-        raise ConfigError("capability-sweep: needs --workers (comma-separated specs)")
-    specs = workers_arg.split(",") if isinstance(workers_arg, str) else list(workers_arg)
-    if not 1 <= len(specs) <= 6:
-        raise ConfigError("capability-sweep: roster must have 1..6 workers")
+    conf = _settings(args, _CAPABILITY_SWEEP)
+    seed, budget, output, specs = conf["seed"], conf["budget"], Path(conf["output"]), _roster(conf["workers"])
+    level = _load_level_config(conf["level"])
 
     episode_seed = derive_seed(seed, "sweep")
-    bindings = {"workers": specs, "planner": conf.get("bindings", {}).get("planner")}
+    bindings = {"workers": specs, "planner": conf["bindings"].get("planner")}
 
     # both passes start from this state; run_episode leaves it as it was
     state = load_level(level, len(specs), episode_seed)
@@ -547,28 +573,15 @@ def cmd_capability_sweep(args: argparse.Namespace) -> int:
     policies = _mode_policies(ControllerMode.PLANNER, state.agent_ids(), seed, bindings)
     informed = run_episode(ControllerMode.PLANNER, state, budget=budget, capability_block=hint, **policies)
 
-    output.mkdir(parents=True, exist_ok=True)
-    _write_episode_artifacts(output / "onthefly", onthefly, level, len(specs), episode_seed, budget)
-    _write_episode_artifacts(output / "informed", informed, level, len(specs), episode_seed, budget)
-
-    eff_on = onthefly.efficiency.efficiency
-    eff_in = informed.efficiency.efficiency
-    comparison = {
-        "workers": specs,
-        "capability_hint": hint,
-        "onthefly": {
-            "completed_orders": onthefly.completed_orders,
-            "efficiency": None if eff_on is None else float(eff_on),
-        },
-        "informed": {
-            "completed_orders": informed.completed_orders,
-            "efficiency": None if eff_in is None else float(eff_in),
-        },
-        "completed_delta": informed.completed_orders - onthefly.completed_orders,
-        "efficiency_delta": (
-            float(eff_in - eff_on) if eff_in is not None and eff_on is not None else None
-        ),
-    }
+    comparison: dict[str, Any] = {"workers": specs, "capability_hint": hint}
+    for name, report in (("onthefly", onthefly), ("informed", informed)):
+        _write_episode_artifacts(output / name, report, level, len(specs), episode_seed, budget)
+        eff = report.efficiency.efficiency
+        comparison[name] = {"completed_orders": report.completed_orders,
+                            "efficiency": None if eff is None else float(eff)}
+    eff_on, eff_in = onthefly.efficiency.efficiency, informed.efficiency.efficiency
+    comparison["completed_delta"] = informed.completed_orders - onthefly.completed_orders
+    comparison["efficiency_delta"] = None if eff_in is None or eff_on is None else float(eff_in - eff_on)
     _dump_json(output / "comparison.json", comparison)
     print(
         f"capability-sweep: onthefly={onthefly.completed_orders} "
@@ -581,42 +594,26 @@ def cmd_capability_sweep(args: argparse.Namespace) -> int:
 # --- entry point -----------------------------------------------------------------
 
 
+_COMMANDS = {
+    "assign-eval": (cmd_assign_eval, "score an allocator on assignment instances", _ASSIGN_EVAL),
+    "kitchen-run": (cmd_kitchen_run, "run kitchen episodes", _KITCHEN_RUN),
+    "capability-sweep": (cmd_capability_sweep, "paired on-the-fly vs informed planner runs", _CAPABILITY_SWEEP),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="allocsim", description="Multi-agent task allocation experiments"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--seed", type=int, help="root seed for all randomness")
-    common.add_argument("--output", help="output directory")
-
-    p = sub.add_parser("assign-eval", parents=[common], help="score an allocator on assignment instances")
-    p.add_argument("--instances", type=int, help="number of instances")
-    p.add_argument("--n-min", dest="n_min", type=int, help="smallest matrix size")
-    p.add_argument("--n-max", dest="n_max", type=int, help="largest matrix size")
-    p.add_argument("--lo", type=int, help="minimum cost entry")
-    p.add_argument("--hi", type=int, help="maximum cost entry")
-    p.add_argument("--allocator", choices=_ALLOCATORS)
-    p.add_argument("--mock-file", dest="mock_file", help="JSON list of canned candidates for --allocator mock")
-    p.add_argument("--strict-mapping", dest="strict_mapping", action="store_const", const=True,
-                   help="score optimality by exact mapping equality")
-    p.set_defaults(func=cmd_assign_eval)
-
-    p = sub.add_parser("kitchen-run", parents=[common], help="run kitchen episodes")
-    p.add_argument("--level", help="built-in level id or level JSON path")
-    p.add_argument("--agents", type=int, help="number of agents (1..6)")
-    p.add_argument("--mode", help="individual | orchestrator | planner | all")
-    p.add_argument("--budget", type=int, help="step budget (default: level max)")
-    p.set_defaults(func=cmd_kitchen_run)
-
-    p = sub.add_parser("capability-sweep", parents=[common],
-                       help="paired on-the-fly vs informed planner runs")
-    p.add_argument("--level", help="built-in level id or level JSON path")
-    p.add_argument("--workers", help="comma-separated worker specs, e.g. scripted:0.0,scripted:0.3")
-    p.add_argument("--budget", type=int, help="step budget")
-    p.set_defaults(func=cmd_capability_sweep)
+    for name, (func, summary, settings) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for key, kind, _, bound, help_text in settings:
+            if kind.flag is not None:  # an object or a bare number is set in the config file only
+                choices = {"choices": bound.choices} if bound is not None and bound.choices else {}
+                p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **kind.flag, **choices)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("replay", help="re-execute a trace and verify hashes")
     p.add_argument("--trace", required=True, help="trace.jsonl produced by kitchen-run")

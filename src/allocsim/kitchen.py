@@ -57,6 +57,11 @@ class MalformedLevel(ValueError):
     """A level config violates its own structural rules."""
 
 
+def _is_count(value: Any) -> bool:
+    """Whether ``value`` is an int >= 1; a bool, a float or a string is not."""
+    return type(value) is int and value >= 1
+
+
 # --- level configuration ----------------------------------------------------
 
 
@@ -82,13 +87,13 @@ class RecipeStep:
     cook_steps: int
 
     def __post_init__(self) -> None:
-        if self.cook_steps < 1:
-            raise MalformedLevel("cook_steps must be >= 1")
+        if not _is_count(self.cook_steps):
+            raise MalformedLevel(f"cook_steps must be an int >= 1, got {self.cook_steps!r}")
         if not self.inputs:
             raise MalformedLevel("a recipe step needs at least one input")
         for item, count in self.inputs.items():
             # a zero count would let an empty tool cook from nothing
-            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            if not _is_count(count):
                 raise MalformedLevel(f"input {item!r} of {self.output!r} needs an int count >= 1, got {count!r}")
 
 
@@ -113,8 +118,10 @@ class OrderSchedule:
     dish_pool: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.spawn_interval < 1 or self.lifetime < 1:
-            raise MalformedLevel("spawn_interval and lifetime must be >= 1")
+        if not (_is_count(self.spawn_interval) and _is_count(self.lifetime)):
+            raise MalformedLevel(
+                f"spawn_interval and lifetime must be ints >= 1, got {self.spawn_interval!r} and {self.lifetime!r}"
+            )
         if not self.dish_pool:
             raise MalformedLevel("dish_pool must not be empty")
 
@@ -135,8 +142,8 @@ class LevelConfig:
     max_steps: int
 
     def __post_init__(self) -> None:
-        if self.max_steps < 1:
-            raise MalformedLevel("max_steps must be >= 1")
+        if not _is_count(self.max_steps):
+            raise MalformedLevel(f"max_steps must be an int >= 1, got {self.max_steps!r}")
         ids = [loc.id for loc in self.locations]
         if len(set(ids)) != len(ids):
             raise MalformedLevel("duplicate location ids")
@@ -147,6 +154,9 @@ class LevelConfig:
                 raise MalformedLevel(f"tool location {loc.id} lacks a tool_kind")
             if loc.kind is not LocationKind.STORAGE and loc.stock:
                 raise MalformedLevel(f"only storages may carry stock ({loc.id})")
+            for item, count in loc.stock.items():
+                if not _is_count(count):
+                    raise MalformedLevel(f"stock {item!r} of {loc.id} needs an int count >= 1, got {count!r}")
         dishes = {r.dish for r in self.recipes}
         for dish in self.order_schedule.dish_pool:
             if dish not in dishes:
@@ -270,7 +280,7 @@ class LevelConfig:
                             tool_kind=s["tool_kind"],
                             inputs=dict(s["inputs"]),
                             output=s["output"],
-                            cook_steps=int(s["cook_steps"]),
+                            cook_steps=s["cook_steps"],
                         )
                         for s in r["steps"]
                     ),
@@ -278,8 +288,8 @@ class LevelConfig:
                 for r in payload["recipes"]
             )
             schedule = OrderSchedule(
-                spawn_interval=int(payload["order_schedule"]["spawn_interval"]),
-                lifetime=int(payload["order_schedule"]["lifetime"]),
+                spawn_interval=payload["order_schedule"]["spawn_interval"],
+                lifetime=payload["order_schedule"]["lifetime"],
                 dish_pool=tuple(payload["order_schedule"]["dish_pool"]),
             )
             return cls(
@@ -287,7 +297,7 @@ class LevelConfig:
                 locations=locations,
                 recipes=recipes,
                 order_schedule=schedule,
-                max_steps=int(payload["max_steps"]),
+                max_steps=payload["max_steps"],
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, MalformedLevel):

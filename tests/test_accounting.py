@@ -30,7 +30,7 @@ class TestPrices:
     def test_default_table_roster(self):
         table = default_price_table()
         for model in ("claude-3.7", "gpt-4o", "gpt-4o-mini", "llama-3.1-70b", "qwen2.5-32b"):
-            assert model in table
+            assert model in table.prices
 
     def test_prices_are_exact_rationals(self):
         table = default_price_table()
@@ -232,7 +232,7 @@ class ReferenceLedger:
         self.rows: list[ReferenceRow] = []
 
     def record_call(self, model_id: str, role: str, tokens_in: int, tokens_out: int, step: int) -> None:
-        if model_id in self.table:
+        if model_id in self.table.prices:
             usd, unpriced = reference_usd_for(self.table, model_id, tokens_in, tokens_out), False
         else:
             usd, unpriced = Fraction(0), True

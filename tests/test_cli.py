@@ -65,15 +65,22 @@ class TestAssignEval:
 
     def test_free_form_claimed_cost_not_a_number_grades_invalid(self, tmp_path):
         mock_file = tmp_path / "mock.json"
-        canned = ['{"mapping": [0, 1], "total_cost": "5"}', '{"mapping": [0, 1], "total_cost": NaN}']
+        canned = [f'{{"mapping": [0, 1], "total_cost": {cost}}}' for cost in ('"5"', "NaN", "Infinity", "-Infinity")]
         mock_file.write_text(json.dumps(canned), encoding="utf-8")
         out = tmp_path / "run"
-        code = main(["assign-eval", "--seed", "8", "--instances", "2", "--n-min", "2", "--n-max", "2",
+        code = main(["assign-eval", "--seed", "8", "--instances", "4", "--n-min", "2", "--n-max", "2",
                      "--allocator", "mock", "--mock-file", str(mock_file), "--output", str(out)])
         assert code == 0
         score = read_json(out / "score.json")
         assert score["validity_rate"] == 0.0
-        assert [row["violations"] for row in score["per_instance"]] == [["MalformedCandidate"]] * 2
+        assert [row["violations"] for row in score["per_instance"]] == [["MalformedCandidate"]] * 4
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        written = json.loads((out / "candidates.json").read_text(encoding="utf-8"), parse_constant=refuse)
+        assert [entry["claimed_cost"] for entry in written] == ["5", "NaN", "Infinity", "-Infinity"]
+        assert [entry["raw_text"] for entry in written] == canned
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_strict_mapping_from_a_config_file(self, tmp_path, strict):
@@ -768,13 +775,13 @@ def test_file_value_applies_unless_the_flag_is_given(argv, key, file_value, same
     assert runs[-1] != from_file
 
 
-def _config_run(argv, conf):
-    """Argv builder: ``argv`` plus a config file holding ``conf(tmp_path)``."""
+def _config_run(argv, conf, output_flag=True):
+    """Argv builder: ``argv`` plus a config file holding ``conf(tmp_path)``, and ``--output`` unless told not to."""
     def build(tmp_path):
         path = tmp_path / "config.json"
         payload = conf(tmp_path) if callable(conf) else conf
         path.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
-        return [*argv, "--config", str(path), "--output", str(tmp_path / "out")]
+        return [*argv, "--config", str(path), *(["--output", str(tmp_path / "out")] if output_flag else [])]
     return build
 
 
@@ -815,11 +822,30 @@ def _trace(*records, **header):
     return "".join(json.dumps(line) + "\n" for line in lines)
 
 
-def _level_1_with_input_count(count):
-    """level_1's JSON with its first recipe step taking ``count`` salmon."""
+def _level_1_with(path, value):
+    """level_1's JSON with ``value`` at ``path``, a sequence of keys and list indices."""
     payload = get_level("level_1").to_json_dict()
-    payload["recipes"][0]["steps"][0]["inputs"] = {"salmon": count}
+    *parents, last = path
+    owner = payload
+    for key in parents:
+        owner = owner[key]
+    owner[last] = value
     return payload
+
+
+def _script_file_named_5(tmp_path):
+    """Config with a mock worker binding whose script is the number 5; a file named ``5`` holds a script."""
+    (tmp_path / "5").write_text(_ENTRY, encoding="utf-8")
+    return {"bindings": {"workers": {"kind": "mock", "model_id": "m", "script": 5}}}
+
+
+# level-file values that are not read as they stand: (name, path, value)
+_LEVEL_MISTYPED = [
+    ("max-steps-6.9", ("max_steps",), 6.9),
+    ("cook-steps-true", ("recipes", 0, "steps", 0, "cook_steps"), True),
+    ("stock-a-string", ("locations", 0, "stock", "salmon"), "8"),
+    ("stock-negative", ("locations", 0, "stock", "salmon"), -3),
+]
 
 
 _KITCHEN_BASE = ["kitchen-run", "--seed", "1", "--level", "level_1", "--mode", "all"]
@@ -884,7 +910,7 @@ BAD_INPUT = [
     pytest.param(_config_run(["kitchen-run", "--seed", "1", "--agents", "2"], _file_setting("level", '{"level_id": "x"}')),
                  id="level-file-malformed"),
     pytest.param(_config_run(["kitchen-run", "--seed", "1", "--agents", "2"], _file_setting("level", json.dumps(
-        _level_1_with_input_count(0)))), id="level-file-input-count-zero"),
+        _level_1_with(("recipes", 0, "steps", 0, "inputs"), {"salmon": 0})))), id="level-file-input-count-zero"),
     *[
         pytest.param(_config_run(argv, {key: value}), id=f"config-{key}-wrong-type")
         for argv, key, value in [
@@ -934,16 +960,51 @@ BAD_INPUT = [
                      id=f"max-retries-{value!r}")
         for value in (1.5, True)
     ],
+    pytest.param(_config_run(["kitchen-run", "--seed", "1", "--agents", "2", "--budget", "3"], {"output": 5},
+                             output_flag=False), id="config-output-a-number"),
+    *[
+        pytest.param(_config_run(_KITCHEN, _mock_binding("workers", _ENTRY, **{key: value})),
+                     id=f"binding-{key}-{value!r}")
+        for key, value in [("model_id", 7), ("endpoint_url", 3), ("auth_env_var", 1)]
+    ],
+    pytest.param(_config_run(_KITCHEN, _script_file_named_5), id="binding-script-5"),
+    *[
+        pytest.param(_config_run(_KITCHEN, {"bindings": {"workers": {"kind": "flaky", "failure_rate": value}}}),
+                     id=f"flaky-kind-rate-{value!r}")
+        for value in (True, "0.5")
+    ],
+    pytest.param(_config_run([*_ASSIGN, "--allocator", "mock", "--n-min", "2", "--n-max", "2"],
+                             _file_setting("mock_file", '[{"mapping": [0, 1], "raw_text": 5}, "task 0 -> agent 0"]')),
+                 id="mock-entry-raw-text-a-number"),
+    *[
+        pytest.param(_config_run(["kitchen-run", "--seed", "1", "--agents", "2", "--budget", "3"],
+                                 _file_setting("level", json.dumps(_level_1_with(path, value)))),
+                     id=f"level-file-{name}")
+        for name, path, value in _LEVEL_MISTYPED
+    ],
+    *[
+        pytest.param(_config_run(["capability-sweep", "--seed", "1", "--workers", "scripted", "--budget", "3"],
+                                 _file_setting("level", json.dumps(_level_1_with(path, value)))),
+                     id=f"sweep-level-file-{name}")
+        for name, path, value in _LEVEL_MISTYPED
+    ],
+    *[
+        pytest.param(_replay_run(_trace(level=_level_1_with(path, value))), id=f"trace-header-level-{name}")
+        for name, path, value in _LEVEL_MISTYPED
+    ],
 ]
 
 
 @pytest.mark.parametrize("build_argv", BAD_INPUT)
-def test_bad_input_is_a_config_error(build_argv, tmp_path, capsys):
-    code = main(build_argv(tmp_path))
+def test_bad_input_is_a_config_error(build_argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a relative path in the input names a file here
+    argv = build_argv(tmp_path)
+    inputs = set(tmp_path.iterdir())
+    code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not (tmp_path / "out").exists()
+    assert set(tmp_path.iterdir()) == inputs  # nothing written
 
 
 @pytest.mark.parametrize("role", ["workers", "orchestrator", "planner"])

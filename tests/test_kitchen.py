@@ -109,6 +109,22 @@ class TestLoadLevel:
             with pytest.raises(MalformedLevel, match="count"):
                 LevelConfig.from_json_dict(bad_count)
 
+    @pytest.mark.parametrize("value", [0, -3, 6.9, 2.0, True, "8", None])
+    @pytest.mark.parametrize("field", ["max_steps", "spawn_interval", "lifetime", "cook_steps", "stock"])
+    def test_counts_must_be_ints_of_at_least_one(self, field, value):
+        # read as they are: 6.9 steps is not 6, and true is not 1
+        payload = copy.deepcopy(get_level("level_1").to_json_dict())
+        owner = {
+            "max_steps": payload,
+            "spawn_interval": payload["order_schedule"],
+            "lifetime": payload["order_schedule"],
+            "cook_steps": payload["recipes"][0]["steps"][0],
+            "stock": payload["locations"][0]["stock"],
+        }[field]
+        owner["salmon" if field == "stock" else field] = value
+        with pytest.raises(MalformedLevel, match=f"{field}.*int"):
+            LevelConfig.from_json_dict(payload)
+
 
 class TestStepSemantics:
     def test_goto_relocates(self, level_1):
